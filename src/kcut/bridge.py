@@ -6,12 +6,13 @@ a consumed edge onto the new edge.  `construction_from_compass` inverts it:
 it splits the carrier at inner edges, restricting the compass to each side,
 until only stars (and, in the extended setting, single edges) remain.  The
 distinguished edges of a construction can also be recovered from its compass
-alone: the X-edge all of whose covering paths are YX-paths.
+alone: the X-edge all of whose covering paths are YX-paths.  That is read
+off one linear fold of the non-YX edges over the tree; no path is built.
 """
 
 from __future__ import annotations
 
-from .compass import Compass, LocalCompassGraph, is_local_compass_graph
+from .compass import Compass, LocalCompassGraph, is_local_compass_graph, reach_marks
 from .construct import (
     Construction,
     IdentityGraph,
@@ -72,14 +73,16 @@ def is_yx_path(graph: OrientedGraph, compass: Compass, path: SemiPath, y: str, x
 
 def distinguished_from_compass(lcg: LocalCompassGraph, y: str, x: str) -> Edge:
     """The unique X-edge all of whose covering paths are YX-paths; for the
-    compass of a construction this recovers that construction's YX edge."""
+    compass of a construction this recovers that construction's YX edge.
+
+    The paths covering a W-edge are the paths that start with it, so all
+    of them are YW-paths exactly when it and every edge downstream of it are
+    YW-edges; an E-edge reads upstream instead."""
     graph, compass = lcg.graph, lcg.compass
+    strays = {e: int(not is_yx_edge(graph, compass, e, y, x)) for e in graph.edges}
+    beyond = reach_marks(graph, strays, downstream=x == "W")
     pool = graph.w_edges if x == "W" else graph.e_edges
-    hits = [
-        h
-        for h in pool
-        if all(is_yx_path(graph, compass, p, y, x) for p in graph.paths_covering(h))
-    ]
+    hits = [h for h in pool if not beyond[h]]
     if len(hits) != 1:
         raise DomainError(
             f"{len(hits)} candidate {y}{x} edges {hits}: not the compass of a construction"

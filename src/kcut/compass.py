@@ -7,6 +7,11 @@ W-E-functional with an inner vertex, separates N from S, and every directed
 path is decent.  Paths that enter at a west vertex or leave at an east
 vertex are decent by convention; without that convention no star would
 qualify.
+
+Decency depends only on a path's first and last edges, so condition (5)
+never builds the set of directed paths: per-edge bad-start and bad-end
+marks and one linear fold over the tree decide it (`reach_marks`), and the
+same fold serves `compose_local` and the bridge.
 """
 
 from __future__ import annotations
@@ -162,15 +167,89 @@ def is_decent(graph: OrientedGraph, compass: Compass, path: SemiPath) -> bool:
     return is_y_decent(graph, compass, path, "N") and is_y_decent(graph, compass, path, "S")
 
 
+# One bit per Y, in the order in which decency is tested.
+_Y_BITS = {"N": 1, "S": 2}
+
+
+def reach_marks(
+    graph: OrientedGraph, marks: Mapping[Edge, int], downstream: bool = True
+) -> dict[Edge, int]:
+    """Each edge's bit mask OR-ed with the masks of every edge downstream
+    of it (upstream when `downstream` is false).
+
+    One Kahn-style pass over the graph, which must be a tree: an edge is
+    folded once every edge beyond its far end has been, starting at the
+    sinks (the sources), so the cost is linear and nothing recurses."""
+    graph._require_tree()
+    ahead, behind = (
+        (graph.out_edges, graph.in_edges) if downstream else (graph.in_edges, graph.out_edges)
+    )
+    beyond = dict.fromkeys(graph.vertices, 0)
+    pending = {v: len(ahead(v)) for v in graph.vertices}
+    ready = [v for v, count in pending.items() if not count]
+    folded: dict[Edge, int] = {}
+    while ready:
+        v = ready.pop()
+        for e in behind(v):
+            near = e.tail if downstream else e.head
+            folded[e] = marks[e] | beyond[v]
+            beyond[near] |= folded[e]
+            pending[near] -= 1
+            if not pending[near]:
+                ready.append(near)
+    return folded
+
+
+def _indecency_marks(
+    graph: OrientedGraph, compass: Compass
+) -> tuple[dict[Edge, int], dict[Edge, int]]:
+    """Per edge, the Ys for which it is a bad start (not a W-edge and not
+    its tail's YE choice) and a bad end (not an E-edge and not its head's YW
+    choice).  A path is Y-indecent exactly when its first edge is a Y bad
+    start and its last edge a Y bad end."""
+    starts, ends = {}, {}
+    for e in graph.edges:
+        w_edge, e_edge = graph.is_w_edge(e), graph.is_e_edge(e)
+        starts[e] = ends[e] = 0
+        for y, bit in _Y_BITS.items():
+            if not w_edge and compass.get(e.tail, y + "E") != e:
+                starts[e] |= bit
+            if not e_edge and compass.get(e.head, y + "W") != e:
+                ends[e] |= bit
+    return starts, ends
+
+
+def _first_indecent(
+    graph: OrientedGraph, starts: Mapping[Edge, int], ends: Mapping[Edge, int]
+) -> tuple[SemiPath, str] | None:
+    """The canonically least path whose first edge is a Y bad start and
+    whose last edge a Y bad end, with the first such Y.
+
+    It begins at the least vertex, and along its least out-edge, whose bad
+    starts reach a bad end of the same Y; it then steps to the least child
+    that still reaches one and stops at the first.  Only that path is
+    built."""
+    reach = reach_marks(graph, ends)
+    for v in graph.vertices:
+        for first in graph.out_edges(v):
+            live = starts[first] & reach[first]
+            if not live:
+                continue
+            chain, edge = [v, first.head], first
+            while not ends[edge] & live:
+                edge = next(e for e in graph.out_edges(edge.head) if reach[e] & live)
+                chain.append(edge.head)
+            failing = ends[edge] & live
+            y = next(y for y, bit in _Y_BITS.items() if failing & bit)
+            return (SemiPath.through(graph, chain), y)
+    return None
+
+
 def indecent_path_witness(graph: OrientedGraph, compass: Compass) -> tuple[SemiPath, str] | None:
     """The first indecent path in canonical order with its failing Y, or
-    None when every path is decent.  Enumerates all directed paths, of which
-    a tree has at most |V|^2."""
-    for path in graph.directed_paths:
-        for y in ("N", "S"):
-            if not is_y_decent(graph, compass, path, y):
-                return (path, y)
-    return None
+    None when every path is decent.  Linear in the size of the tree: the
+    edges are marked and folded once, and only the witness is built."""
+    return _first_indecent(graph, *_indecency_marks(graph, compass))
 
 
 @dataclass(frozen=True)
@@ -234,7 +313,9 @@ def compose_local(
 
     Compass values equal to a consumed edge become the new edge; the other
     values carry over.  Only paths covering the new edge need a decency
-    check, and an indecent one is reported as the composition error.
+    check: such a path is indecent exactly when a bad start on or upstream
+    of the new edge meets a bad end of the same Y on or downstream of it.
+    The least indecent one is reported as the composition error.
     """
     carrier = cut_graph(west.graph, e_west, east.graph, e_east)
     new_edge = Edge(e_west.tail, e_east.head)
@@ -242,10 +323,17 @@ def compose_local(
     merged = west.compass.substituted(replacements).merged(
         east.compass.substituted(replacements)
     )
-    for path in carrier.paths_covering(new_edge):
-        for y in ("N", "S"):
-            if not is_y_decent(carrier, merged, path, y):
-                raise CompositionError(
-                    f"path {path} covering the cut edge {new_edge} is not {y}-decent"
-                )
+    starts, ends = _indecency_marks(carrier, merged)
+    cut = {e: int(e == new_edge) for e in carrier.edges}
+    above, below = reach_marks(carrier, cut), reach_marks(carrier, cut, downstream=False)
+    covering = _first_indecent(
+        carrier,
+        {e: starts[e] if above[e] else 0 for e in carrier.edges},
+        {e: ends[e] if below[e] else 0 for e in carrier.edges},
+    )
+    if covering is not None:
+        path, y = covering
+        raise CompositionError(
+            f"path {path} covering the cut edge {new_edge} is not {y}-decent"
+        )
     return LocalCompassGraph(carrier, merged)

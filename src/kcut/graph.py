@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DomainError, GraphInvariantError
 
@@ -384,30 +384,6 @@ class OrientedGraph:
             chain.append(prev[chain[-1]])
         chain.reverse()
         return SemiPath.through(self, chain)
-
-    @cached_property
-    def directed_paths(self) -> tuple[SemiPath, ...]:
-        """Every all-forward path with at least two vertices, in canonical
-        order (the graph must be a tree, so there are at most |V|^2)."""
-        self._require_tree()
-        found: list[SemiPath] = []
-
-        def extend(chain: list[str]) -> None:
-            for e in self._out[chain[-1]]:
-                chain.append(e.head)
-                found.append(SemiPath.through(self, chain))
-                extend(chain)
-                chain.pop()
-
-        for v in self.vertices:
-            extend([v])
-        found.sort(key=lambda p: p.vertices)
-        return tuple(found)
-
-    def paths_covering(self, e: Edge) -> Iterator[SemiPath]:
-        """The directed paths that traverse `e`."""
-        self._require_edge(e)
-        return (p for p in self.directed_paths if p.covers(e))
 
     # -- derived graphs ----------------------------------------------------
 

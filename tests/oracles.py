@@ -2,10 +2,12 @@
 
 Everything here recomputes results from first principles: semicycles by
 exhaustive semiwalk extension, transversal edges by enumerating semipaths,
-decency by pairwise forward reachability, compass existence by enumerating
-all assignments, rewrite equivalence by breadth-first search over moves,
-and oriented-tree counts from labeled trees.  None of it shares algorithms
-with the production path it checks.
+decency by pairwise forward reachability (with the indecent-path witness,
+the covering-path check of `compose_local` and the recovery of
+distinguished edges re-derived from every directed path), compass
+existence by enumerating all assignments, rewrite equivalence by
+breadth-first search over moves, and oriented-tree counts from labeled
+trees.  None of it shares algorithms with the production path it checks.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import itertools
 from collections import deque
 
 from kcut import (
+    CompositionError,
     Construction,
     Edge,
     IdentityGraph,
@@ -24,8 +27,10 @@ from kcut import (
     applicable_rho_moves,
     apply_rho_move,
     is_local_compass_graph,
+    is_yx_edge,
 )
-from kcut.compass import Compass
+from kcut.compass import Compass, LocalCompassGraph
+from kcut.construct import cut_graph
 
 
 def semicycle_exists(graph: OrientedGraph) -> bool:
@@ -132,6 +137,61 @@ def every_path_decent(graph: OrientedGraph, compass: Compass) -> bool:
         for chain in forward_paths_by_reachability(graph)
         for y in ("N", "S")
     )
+
+
+def _chain_edges(chain: tuple[str, ...]) -> list[Edge]:
+    return [Edge(a, b) for a, b in zip(chain, chain[1:])]
+
+
+def indecent_path_by_enumeration(graph: OrientedGraph, compass: Compass) -> tuple[SemiPath, str] | None:
+    """The canonically first indecent path with its first failing Y, found
+    by testing every directed path in turn."""
+    for chain in forward_paths_by_reachability(graph):
+        for y in ("N", "S"):
+            if not decent_by_definition(graph, compass, chain, y):
+                return (SemiPath.through(graph, chain), y)
+    return None
+
+
+def compose_local_by_enumeration(
+    west: LocalCompassGraph, e_west: Edge, east: LocalCompassGraph, e_east: Edge
+) -> LocalCompassGraph:
+    """`compose_local` re-derived: test every directed path that covers the
+    new edge, in canonical order, and name the first indecent one."""
+    carrier = cut_graph(west.graph, e_west, east.graph, e_east)
+    new_edge = Edge(e_west.tail, e_east.head)
+    replacements = {e_west: new_edge, e_east: new_edge}
+    merged = west.compass.substituted(replacements).merged(
+        east.compass.substituted(replacements)
+    )
+    for chain in forward_paths_by_reachability(carrier):
+        if new_edge not in _chain_edges(chain):
+            continue
+        for y in ("N", "S"):
+            if not decent_by_definition(carrier, merged, chain, y):
+                path = SemiPath.through(carrier, chain)
+                raise CompositionError(
+                    f"path {path} covering the cut edge {new_edge} is not {y}-decent"
+                )
+    return LocalCompassGraph(carrier, merged)
+
+
+def distinguished_candidates_by_enumeration(lcg: LocalCompassGraph, y: str, x: str) -> list[Edge]:
+    """Every X-edge all of whose covering paths are YX-paths, testing each
+    edge of each directed path."""
+    graph, compass = lcg.graph, lcg.compass
+    chains = [_chain_edges(chain) for chain in forward_paths_by_reachability(graph)]
+    pool = graph.w_edges if x == "W" else graph.e_edges
+    return [
+        h
+        for h in pool
+        if all(
+            is_yx_edge(graph, compass, edge, y, x)
+            for edges in chains
+            if h in edges
+            for edge in edges
+        )
+    ]
 
 
 def enumerate_compasses(graph: OrientedGraph, branching_limit: int = 7):

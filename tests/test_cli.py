@@ -120,6 +120,22 @@ def test_compass_validates_and_synthesizes(tmp_path, capsys):
     assert first_json(out)["class"] == "qgraph-only"
 
 
+# `kcut compass` on F6, byte for byte: the witness is printed as
+# str((SemiPath, y)), so this pins the canonically first indecent path.
+F6_COMPASS_STDOUT = (
+    '{"compass": "invalid", "condition": 5, "witness": "(SemiPath('
+    "vertices=('a', 'b', 'c'), steps=("
+    "Step(edge=Edge(tail='a', head='b'), forward=True), "
+    "Step(edge=Edge(tail='b', head='c'), forward=True))), 'N')\"}\n"
+)
+
+
+def test_compass_prints_the_indecent_witness_byte_for_byte(tmp_path, capsys):
+    failing = write(tmp_path, "f6", serialize_graph(F6, F6_COMPASS))
+    code, out, err = run(capsys, "compass", failing)
+    assert (code, out, err) == (2, F6_COMPASS_STDOUT, "")
+
+
 def test_equiv_compares_scripts(tmp_path, capsys):
     one = write(tmp_path, "one.kc", F2_SCRIPT)
     two = write(tmp_path, "two.kc", F2_SCRIPT_ASSOC)

@@ -117,8 +117,19 @@ def test_unique_semipath_requires_tree():
         F5.unique_semipath("a", "b")
 
 
+def _directed_chains(tree):
+    """The vertex sequences of the all-forward semipaths between distinct
+    vertices, read off `unique_semipath`, in canonical order."""
+    chains = []
+    for u in tree.vertices:
+        for v in tree.vertices:
+            if u != v and tree.unique_semipath(u, v).is_path:
+                chains.append(tree.unique_semipath(u, v).vertices)
+    return sorted(chains)
+
+
 def test_directed_paths_star():
-    chains = {p.vertices for p in F1.directed_paths}
+    chains = set(oracles.forward_paths_by_reachability(F1))
     assert chains == {
         ("w1", "m"),
         ("w2", "m"),
@@ -126,14 +137,16 @@ def test_directed_paths_star():
         ("w1", "m", "e1"),
         ("w2", "m", "e1"),
     }
-    assert {p.vertices for p in g("a>b").directed_paths} == {("a", "b")}
+    assert set(_directed_chains(F1)) == chains
+    assert oracles.forward_paths_by_reachability(g("a>b")) == [("a", "b")]
 
 
 def test_directed_paths_match_pairwise_reachability():
     # frozen from the reachability oracle: F3 has 10 directed paths
     expected = oracles.forward_paths_by_reachability(F3)
     assert len(expected) == 10
-    assert [p.vertices for p in F3.directed_paths] == expected
+    assert _directed_chains(F3) == expected
+    assert all(SemiPath.through(F3, chain).is_path for chain in expected)
 
 
 def test_semipath_through_validates():
@@ -211,5 +224,6 @@ def test_unique_semipath_is_the_only_one(tree):
 @settings(max_examples=100, deadline=None)
 @given(small_trees())
 def test_directed_paths_agree_with_reachability_oracle(tree):
-    assert [p.vertices for p in tree.directed_paths] == oracles.forward_paths_by_reachability(tree)
-    assert len(tree.directed_paths) <= len(tree.vertices) ** 2
+    chains = oracles.forward_paths_by_reachability(tree)
+    assert _directed_chains(tree) == chains
+    assert len(chains) <= len(tree.vertices) ** 2

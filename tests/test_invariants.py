@@ -8,6 +8,7 @@ import random
 from kcut import (
     CompositionError,
     Edge,
+    SemiPath,
     apply_rho_move,
     applicable_rho_moves,
     compose,
@@ -28,6 +29,7 @@ from kcut import (
 from kcut.generate import enumerate_oriented_trees, random_construction
 from kcut.recognize import KGRAPH
 
+import oracles
 from helpers import e, g
 from test_construct import f2_construction, r_leaf
 
@@ -111,7 +113,9 @@ def test_paths_covering_no_inner_edge_are_always_decent():
         compass = synthesize_compass(graph)
         if compass is None:
             continue
-        for path in graph.directed_paths:
+        assert oracles.every_path_decent(graph, compass)
+        for chain in oracles.forward_paths_by_reachability(graph):
+            path = SemiPath.through(graph, chain)
             if any(graph.is_inner_edge(edge) for edge in path.edges):
                 continue
             assert is_decent(graph, compass, path)
