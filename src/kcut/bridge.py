@@ -13,16 +13,9 @@ off one linear fold of the non-YX edges over the tree; no path is built.
 from __future__ import annotations
 
 from .compass import Compass, LocalCompassGraph, is_local_compass_graph, reach_marks
-from .construct import (
-    Construction,
-    IdentityGraph,
-    compose,
-    leaf,
-    make_basic,
-)
+from .construct import Construction, IdentityGraph, compose, fresh_secondary_names, leaf, make_basic
 from .errors import DomainError
-from .graph import Edge, OrientedGraph, SemiPath
-from .recognize import fresh_secondary_names, split_at_inner_edge
+from .graph import Edge, OrientedGraph, SemiPath, split_at_inner_edge
 
 
 def lambda_of(g: Construction) -> LocalCompassGraph:

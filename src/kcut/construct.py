@@ -16,7 +16,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import CompositionError, DomainError, RewriteError, ValidationError
 from .graph import SLOTS, Edge, OrientedGraph
@@ -25,6 +25,16 @@ MODES = ("K", "Q")
 
 # Reserved prefix for machine-generated secondary vertex names.
 SECONDARY_PREFIX = "#s"
+
+
+def fresh_secondary_names(taken: Iterable[str]) -> Iterator[str]:
+    """Generator of reserved-namespace vertex names avoiding `taken`."""
+    used = set(taken)
+    return (
+        name
+        for name in (f"{SECONDARY_PREFIX}{k}" for k in itertools.count(1))
+        if name not in used
+    )
 
 
 def _check_mode(mode: str) -> None:

@@ -25,6 +25,12 @@ TOKEN_RE = re.compile(r"#?[A-Za-z0-9_]+\Z")
 # Compass slots: Y in {N, S} crossed with X in {W, E}.
 SLOTS = ("NW", "SW", "NE", "SE")
 
+# Side-mark bits (`OrientedGraph.side_marks`): the side of an endpoint v of
+# a tree edge, once that edge is removed, holds an edge pointing toward v or
+# an edge pointing away from v.
+TOWARD = 1
+AWAY = 2
+
 
 class Edge(NamedTuple):
     tail: str
@@ -285,19 +291,69 @@ class OrientedGraph:
 
     def component_witness(self) -> tuple[str, str] | None:
         """A pair of vertices joined by no semipath, or None when none exists."""
-        start = self.vertices[0]
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
+        order, parent = self._walk(self.vertices[0])
+        if len(order) == len(self.vertices):
+            return None
+        return next((order[0], v) for v in self.vertices if v not in parent)
+
+    def _walk(self, start: str, cut: Edge | None = None) -> tuple[list[str], dict[str, str]]:
+        """Breadth-first order of the vertices `start` reaches without
+        crossing the edge `cut`, and the vertex each was reached from: its
+        parent in the tree rooted at `start` (`start` is its own)."""
+        order = [start]
+        parent = {start: start}
+        barred = {cut.tail: cut.head, cut.head: cut.tail} if cut else {}
+        for v in order:  # the loop also visits what it appends
+            bar = barred.get(v)
             for w in self._adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        for v in self.vertices:
-            if v not in seen:
-                return (start, v)
-        return None
+                if w not in parent and w != bar:
+                    parent[w] = v
+                    order.append(w)
+        return order, parent
+
+    def _edge_between(self, u: str, v: str) -> Edge:
+        return Edge(u, v) if (u, v) in self._edge_set else Edge(v, u)
+
+    @cached_property
+    def side_marks(self) -> dict[Edge, tuple[int, int]]:
+        """For every edge, the TOWARD/AWAY bits of its tail's side and of its
+        head's side once the edge is removed (the graph must be a tree).
+
+        An all-directions fold over the tree rooted at the first vertex: a
+        pass in reverse breadth-first order gathers the bits of each subtree,
+        and a forward pass adds those of everything outside it, from the
+        parent's outside and the siblings' subtrees.  Per-parent counts of
+        the children that carry each bit leave one sibling out in O(1).
+        """
+        self._require_tree()
+        order, parent = self._walk(self.vertices[0])
+        edge = {c: self._edge_between(parent[c], c) for c in order[1:]}
+        below = dict.fromkeys(order, 0)  # bits of v's subtree, seen from v
+        hung: dict[str, int] = {}  # bits of c's subtree and parent edge, seen from the parent
+        count = {bit: dict.fromkeys(order, 0) for bit in (TOWARD, AWAY)}
+        for c in reversed(order[1:]):
+            p, e = parent[c], edge[c]
+            hung[c] = bits = below[c] | (TOWARD if e.head == p else AWAY)
+            below[p] |= bits
+            for bit in (TOWARD, AWAY):
+                count[bit][p] += bool(bits & bit)
+        outside = {order[0]: 0}  # bits beyond v's subtree, parent edge included, seen from v
+        marks: dict[Edge, tuple[int, int]] = {}
+        for c in order[1:]:
+            p, e = parent[c], edge[c]
+            rest = outside[p]
+            for bit in (TOWARD, AWAY):
+                if count[bit][p] > bool(hung[c] & bit):
+                    rest |= bit
+            marks[e] = (below[c], rest) if e.tail == c else (rest, below[c])
+            outside[c] = rest | (TOWARD if e.head == c else AWAY)
+        return marks
+
+    def side(self, v: str, cut: Edge) -> tuple[list[str], list[Edge]]:
+        """The vertices and edges of the side of `v` once the edge `cut` is
+        removed (the graph must be a tree)."""
+        members, parent = self._walk(v, cut)
+        return members, [self._edge_between(parent[w], w) for w in members[1:]]
 
     @cached_property
     def is_asemicyclic(self) -> bool:
@@ -399,3 +455,19 @@ class OrientedGraph:
         isolated = [v for v in self.vertices if not self._in[v] and not self._out[v]]
         parts = [str(e) for e in self.edges] + isolated
         return "{" + ", ".join(parts) + "}"
+
+
+def split_at_inner_edge(
+    graph: OrientedGraph, e: Edge, b: str, c: str
+) -> tuple[OrientedGraph, OrientedGraph]:
+    """Cut the inner edge `e` = (a, d) of a tree back into two graphs: the
+    side of a with the fresh east vertex `b` on the new E-edge (a, b), and
+    the side of d with the fresh west vertex `c` on the new W-edge (c, d)."""
+    if not graph.contains_edge(e) or not graph.is_inner_edge(e):
+        raise DomainError(f"{e} is not an inner edge")
+    a, d = e
+    west_members, west_edges = graph.side(a, e)
+    east_members, east_edges = graph.side(d, e)
+    west = OrientedGraph.of(west_members + [b], west_edges + [Edge(a, b)])
+    east = OrientedGraph.of(east_members + [c], east_edges + [Edge(c, d)])
+    return west, east

@@ -11,15 +11,12 @@ transversal edges classified by its in/out pattern at the shared vertex.
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from .compass import Compass
-from .construct import SECONDARY_PREFIX, Construction, compose, leaf, make_basic
-from .errors import DomainError
-from .graph import Edge, OrientedGraph, SemiPath
+from .construct import Construction, compose, fresh_secondary_names, leaf, make_basic
+from .errors import DomainError, GraphInvariantError
+from .graph import AWAY, TOWARD, Edge, OrientedGraph, SemiPath, split_at_inner_edge
 
 KGRAPH = "kgraph"
 QGRAPH_ONLY = "qgraph-only"
@@ -109,37 +106,9 @@ def _require_qgraph(graph: OrientedGraph, extended: bool = False) -> None:
         raise DomainError(f"not a Q-graph: {failure.describe()}")
 
 
-def _rooted_parents(graph: OrientedGraph, root: str, avoid: Edge | None) -> dict[str, str]:
-    """Parent map of the component reachable from `root` without traversing
-    `avoid`; the root is absent from the map."""
-    parents: dict[str, str] = {}
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in graph._adjacency[v]:
-            if avoid is not None and {v, w} == {avoid.tail, avoid.head}:
-                continue
-            if w not in seen:
-                seen.add(w)
-                parents[w] = v
-                queue.append(w)
-    return parents
-
-
-def _side_has_step(graph: OrientedGraph, root: str, avoid: Edge, toward: bool) -> bool:
-    """Does the side of `root` (with `avoid` removed) contain an edge
-    pointing toward the root (`toward`) or away from it (not `toward`)?"""
-    parents = _rooted_parents(graph, root, avoid)
-    members = set(parents) | {root}
-    for e in graph.edges:
-        if e == avoid or e.tail not in members or e.head not in members:
-            continue
-        if toward and parents.get(e.tail) == e.head:
-            return True
-        if not toward and parents.get(e.head) == e.tail:
-            return True
-    return False
+def _is_transversal(graph: OrientedGraph, e: Edge) -> bool:
+    tail_side, head_side = graph.side_marks[e]
+    return bool(head_side & TOWARD and tail_side & AWAY)
 
 
 def is_transversal_edge(graph: OrientedGraph, e: Edge, extended: bool = False) -> bool:
@@ -149,14 +118,12 @@ def is_transversal_edge(graph: OrientedGraph, e: Edge, extended: bool = False) -
     _require_qgraph(graph, extended=extended)
     if not graph.contains_edge(e):
         raise DomainError(f"unknown edge {e}")
-    return _side_has_step(graph, e.head, e, toward=True) and _side_has_step(
-        graph, e.tail, e, toward=False
-    )
+    return _is_transversal(graph, e)
 
 
 def transversal_edges(graph: OrientedGraph, extended: bool = False) -> tuple[Edge, ...]:
     _require_qgraph(graph, extended=extended)
-    return tuple(e for e in graph.edges if is_transversal_edge(graph, e, extended=extended))
+    return tuple(e for e in graph.edges if _is_transversal(graph, e))
 
 
 def _bifurcation_from(t_edges: tuple[Edge, ...]) -> Bifurcation | None:
@@ -185,31 +152,17 @@ def _hanging_tree(graph: OrientedGraph, root: str, attach: Edge) -> OrientedGrap
     """The subtree reached from `root` through `attach`, including `attach`
     and `root` itself."""
     far = attach.head if attach.tail == root else attach.tail
-    parents = _rooted_parents(graph, far, attach)
-    members = set(parents) | {far, root}
-    edges = [attach]
-    edges += [
-        e
-        for e in graph.edges
-        if e != attach and e.tail in members - {root} and e.head in members - {root}
-    ]
-    return OrientedGraph.of(members, edges)
+    members, edges = graph.side(far, attach)
+    return OrientedGraph.of(members + [root], edges + [attach])
 
 
-def _oriented_uniformly(tree: OrientedGraph, root: str, inward: bool) -> bool:
-    parents = {root: root}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in tree._adjacency[v]:
-            if w not in parents:
-                parents[w] = v
-                queue.append(w)
-    for e in tree.edges:
-        toward_root = parents.get(e.tail) == e.head
-        if toward_root != inward:
-            return False
-    return True
+def _hangs_uniformly(graph: OrientedGraph, root: str, attach: Edge) -> bool:
+    """Is the subtree hanging from `root` through `attach` oriented toward
+    the root when `attach` comes in, and away from it when it goes out?"""
+    tail_side, head_side = graph.side_marks[attach]
+    if attach.head == root:
+        return not tail_side & AWAY
+    return not head_side & TOWARD
 
 
 def _assemble_transversal(graph: OrientedGraph, t_edges: tuple[Edge, ...]) -> SemiPath:
@@ -220,7 +173,8 @@ def _assemble_transversal(graph: OrientedGraph, t_edges: tuple[Edge, ...]) -> Se
         incident.setdefault(e.tail, []).append(e)
         incident.setdefault(e.head, []).append(e)
     ends = sorted(v for v, es in incident.items() if len(es) == 1)
-    assert len(ends) == 2, f"transversal edges do not form one path: {t_edges}"
+    if len(ends) != 2:
+        raise GraphInvariantError(f"transversal edges do not form one path: {t_edges}")
     start = ends[0]
     walk = [start]
     used: set[Edge] = set()
@@ -236,10 +190,7 @@ def _degenerate_root(graph: OrientedGraph) -> str:
     vertex all of whose hanging subtrees are uniformly oriented."""
     candidates = graph.inner_vertices or graph.vertices
     for v in candidates:
-        if all(
-            _oriented_uniformly(_hanging_tree(graph, v, e), v, e.head == v)
-            for e in graph.in_edges(v) + graph.out_edges(v)
-        ):
+        if all(_hangs_uniformly(graph, v, e) for e in graph.in_edges(v) + graph.out_edges(v)):
             return v
     raise DomainError("no vertex roots a uniformly oriented decomposition")
 
@@ -258,20 +209,14 @@ def _build_decomposition(
     in_trees = []
     out_trees = []
     for v in sorted(t_vertices):
-        for e in graph.in_edges(v):
-            if e not in t_edge_set:
-                tree = _hanging_tree(graph, v, e)
-                assert _oriented_uniformly(tree, v, True), (
-                    f"in-going tree at {v} via {e} is not oriented toward its root"
-                )
-                in_trees.append((v, tree))
-        for e in graph.out_edges(v):
-            if e not in t_edge_set:
-                tree = _hanging_tree(graph, v, e)
-                assert _oriented_uniformly(tree, v, False), (
-                    f"out-going tree at {v} via {e} is not oriented away from its root"
-                )
-                out_trees.append((v, tree))
+        for e in graph.in_edges(v) + graph.out_edges(v):
+            if e in t_edge_set:
+                continue
+            inward = e.head == v
+            if not _hangs_uniformly(graph, v, e):
+                kind, way = ("in-going", "toward") if inward else ("out-going", "away from")
+                raise GraphInvariantError(f"{kind} tree at {v} via {e} is not oriented {way} its root")
+            (in_trees if inward else out_trees).append((v, _hanging_tree(graph, v, e)))
     by_attachment = lambda item: (item[0], item[1].edges)
     return Decomposition(
         transversal=transversal,
@@ -299,7 +244,8 @@ def decompose(graph: OrientedGraph, extended: bool = False) -> Decomposition:
     verdict = is_kgraph(graph, extended=extended)
     if verdict.kind != KGRAPH:
         raise DomainError(f"not a K-graph: {verdict}")
-    assert verdict.decomposition is not None
+    if verdict.decomposition is None:
+        raise GraphInvariantError(f"a K-graph verdict without a decomposition: {verdict}")
     return verdict.decomposition
 
 
@@ -343,34 +289,6 @@ def synthesize_compass(graph: OrientedGraph, extended: bool = False) -> Compass 
             assignments[(v, "N" + x)] = north
             assignments[(v, "S" + x)] = south
     return Compass.of(assignments)
-
-
-def fresh_secondary_names(taken: Iterable[str]) -> Iterator[str]:
-    """Generator of reserved-namespace vertex names avoiding `taken`."""
-    used = set(taken)
-    return (
-        name
-        for name in (f"{SECONDARY_PREFIX}{k}" for k in itertools.count(1))
-        if name not in used
-    )
-
-
-def split_at_inner_edge(
-    graph: OrientedGraph, e: Edge, b: str, c: str
-) -> tuple[OrientedGraph, OrientedGraph]:
-    """Cut the inner edge `e` = (a, d) back into two graphs: the side of a
-    with the fresh east vertex `b` on the new E-edge (a, b), and the side of
-    d with the fresh west vertex `c` on the new W-edge (c, d)."""
-    if not graph.contains_edge(e) or not graph.is_inner_edge(e):
-        raise DomainError(f"{e} is not an inner edge")
-    a, d = e
-    west_members = set(_rooted_parents(graph, a, e)) | {a}
-    east_members = set(graph.vertices) - west_members
-    west_edges = [x for x in graph.edges if x.tail in west_members and x.head in west_members]
-    east_edges = [x for x in graph.edges if x.tail in east_members and x.head in east_members]
-    west = OrientedGraph.of(sorted(west_members) + [b], west_edges + [Edge(a, b)])
-    east = OrientedGraph.of(sorted(east_members) + [c], east_edges + [Edge(c, d)])
-    return west, east
 
 
 def qgraph_construction(graph: OrientedGraph, d: Edge, x: str) -> Construction:

@@ -1,7 +1,9 @@
 """Independent brute-force oracles the production code is checked against.
 
 Everything here recomputes results from first principles: semicycles by
-exhaustive semiwalk extension, transversal edges by enumerating semipaths,
+exhaustive semiwalk extension, transversal edges by enumerating semipaths
+(and by one breadth-first search per edge side), the root of a
+transversal-free decomposition by building every hanging tree,
 decency by pairwise forward reachability (with the indecent-path witness,
 the covering-path check of `compose_local` and the recovery of
 distinguished edges re-derived from every directed path), compass
@@ -86,6 +88,88 @@ def transversal_edge_by_enumeration(graph: OrientedGraph, edge: Edge) -> bool:
 
 def transversal_edges_by_enumeration(graph: OrientedGraph) -> set[Edge]:
     return {e for e in graph.edges if transversal_edge_by_enumeration(graph, e)}
+
+
+def _side_parents(graph: OrientedGraph, root: str, avoid: Edge) -> dict[str, str]:
+    """Parent map of the component reachable from `root` without traversing
+    `avoid`; the root is absent from the map."""
+    parents: dict[str, str] = {}
+    seen = {root}
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for w in graph._adjacency[v]:
+            if {v, w} == {avoid.tail, avoid.head}:
+                continue
+            if w not in seen:
+                seen.add(w)
+                parents[w] = v
+                queue.append(w)
+    return parents
+
+
+def side_has_step(graph: OrientedGraph, root: str, avoid: Edge, toward: bool) -> bool:
+    """Does the side of `root` (with `avoid` removed) contain an edge
+    pointing toward the root (`toward`) or away from it (not `toward`)?
+    One breadth-first search plus a scan of every edge."""
+    parents = _side_parents(graph, root, avoid)
+    members = set(parents) | {root}
+    for e in graph.edges:
+        if e == avoid or e.tail not in members or e.head not in members:
+            continue
+        if toward and parents.get(e.tail) == e.head:
+            return True
+        if not toward and parents.get(e.head) == e.tail:
+            return True
+    return False
+
+
+def transversal_edges_by_sides(graph: OrientedGraph) -> tuple[Edge, ...]:
+    """The tree reading of transversality, tested edge by edge: the head's
+    side holds an edge pointing toward the head, the tail's side one
+    pointing away from the tail."""
+    return tuple(
+        e
+        for e in graph.edges
+        if side_has_step(graph, e.head, e, toward=True)
+        and side_has_step(graph, e.tail, e, toward=False)
+    )
+
+
+def _hanging_tree_by_scan(graph: OrientedGraph, root: str, attach: Edge) -> OrientedGraph:
+    far = attach.head if attach.tail == root else attach.tail
+    members = set(_side_parents(graph, far, attach)) | {far, root}
+    edges = [attach] + [
+        e
+        for e in graph.edges
+        if e != attach and e.tail in members - {root} and e.head in members - {root}
+    ]
+    return OrientedGraph.of(members, edges)
+
+
+def _oriented_uniformly(tree: OrientedGraph, root: str, inward: bool) -> bool:
+    parents = {root: root}
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for w in tree._adjacency[v]:
+            if w not in parents:
+                parents[w] = v
+                queue.append(w)
+    return all((parents.get(e.tail) == e.head) == inward for e in tree.edges)
+
+
+def degenerate_root_by_scan(graph: OrientedGraph) -> str | None:
+    """The smallest inner vertex (any vertex when none is inner) all of
+    whose hanging trees, each built by scanning every edge, are oriented
+    toward it when they hang from an in-edge and away from it otherwise."""
+    for v in graph.inner_vertices or graph.vertices:
+        if all(
+            _oriented_uniformly(_hanging_tree_by_scan(graph, v, e), v, e.head == v)
+            for e in graph.in_edges(v) + graph.out_edges(v)
+        ):
+            return v
+    return None
 
 
 def bifurcation_by_enumeration(graph: OrientedGraph) -> tuple[Edge, Edge, Edge] | None:

@@ -17,6 +17,7 @@ from kcut import (
     compose_local,
     distinguished_from_compass,
     indecent_path_witness,
+    is_kgraph,
     is_local_compass_graph,
     lambda_of,
     rename_construction,
@@ -179,3 +180,14 @@ def test_flipped_east_choice_on_a_deep_spine_fails_condition_five():
     assert verdict.condition == 5
     path, y = verdict.witness
     assert path.vertices == (_name("v", flipped), _name("v", flipped + 1)) and y == "N"
+
+
+def test_deep_spine_is_a_kgraph_along_its_spine():
+    # every spine edge but the last has a west leaf ahead and an east leaf
+    # behind it, so it is transversal
+    graph, _ = _deep_chain()
+    verdict = _default_recursion_limit(lambda: is_kgraph(graph))
+    assert verdict.kind == "kgraph"
+    transversal = verdict.decomposition.transversal
+    assert transversal.is_path and len(transversal.edges) == SPINE - 1
+    assert transversal.vertices == tuple(_name("v", i) for i in range(SPINE))

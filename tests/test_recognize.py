@@ -239,3 +239,16 @@ def test_kgraphs_decompose_and_reassemble(tree):
     edges = reassembled_edges(built)
     assert sorted(edges) == list(tree.edges)
     assert len(edges) == len(set(edges))
+
+
+def test_decomposition_invariants_raise_rather_than_assert():
+    # hand `_build_decomposition` edge sets that are not the transversal of F4; the
+    # checks must raise, so they also hold under `python -O`
+    from kcut import GraphInvariantError
+    from kcut.recognize import _assemble_transversal, _build_decomposition
+
+    arms = (e("m>x1"), e("m>x2"), e("m>x3"))
+    with pytest.raises(GraphInvariantError, match="do not form one path"):
+        _assemble_transversal(F4, arms)
+    with pytest.raises(GraphInvariantError, match="out-going tree at m via m>x3 is not oriented away"):
+        _build_decomposition(F4, arms[:2])
