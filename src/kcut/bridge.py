@@ -13,7 +13,7 @@ off one linear fold of the non-YX edges over the tree; no path is built.
 from __future__ import annotations
 
 from .compass import Compass, LocalCompassGraph, is_local_compass_graph, reach_marks
-from .construct import Construction, IdentityGraph, compose, fresh_secondary_names, leaf, make_basic
+from .construct import BasicKGraph, Construction, IdentityGraph, compose, fresh_secondary_names, leaf, make_basic
 from .errors import DomainError
 from .graph import Edge, OrientedGraph, SemiPath, split_at_inner_edge
 
@@ -27,21 +27,26 @@ def lambda_of(g: Construction) -> LocalCompassGraph:
 
 
 def _compass_entries(g: Construction) -> dict[tuple[str, str], Edge]:
-    if g.is_leaf:
-        obj = g.leaf_obj
-        if isinstance(obj, IdentityGraph):
-            return {}
-        assert obj is not None
-        return {(obj.center, slot): edge for slot, edge in obj.distinguished.items()}
-    assert g.left is not None and g.right is not None
-    assert g.cut_west is not None and g.cut_east is not None
-    new_edge = g.cut_edge
-    entries = {}
-    for child in (g.left, g.right):
-        for key, value in _compass_entries(child).items():
-            if value in (g.cut_west, g.cut_east):
-                value = new_edge
-            entries[key] = value
+    """One walk down the cut-tree carrying, for each edge an enclosing cut
+    consumes, the edge it finally becomes in g's root graph.  The nearest
+    enclosing cut that consumes a name consumes that edge (a subtree's root
+    edges have distinct names); a cut's entries are undone on leaving it."""
+    entries: dict[tuple[str, str], Edge] = {}
+    fate: dict[Edge, Edge] = {}  # an edge missing here stays itself
+    stack: list = [g]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            fate.update(node)
+        elif isinstance(node.leaf_obj, BasicKGraph):
+            obj = node.leaf_obj
+            for slot, edge in obj.distinguished.items():
+                entries[(obj.center, slot)] = fate.get(edge, edge)
+        elif node.leaf_obj is None:
+            west, e_west, east, e_east = node.operands
+            new_edge = node.cut_edge
+            stack += ({e: fate.get(e, e) for e in (e_west, e_east)}, east, west)
+            fate[e_west] = fate[e_east] = fate.get(new_edge, new_edge)
     return entries
 
 

@@ -79,15 +79,22 @@ def _verdict_json(graph, verdict) -> dict:
     return payload
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise KcutError(f"{path}: not UTF-8 text (byte {err.start})") from None
+
+
 def _cmd_check(args) -> int:
-    graph, _ = parse_graph(Path(args.file).read_text())
+    graph, _ = parse_graph(_read(args.file))
     verdict = is_kgraph(graph)
     _emit(_verdict_json(graph, verdict))
     return _CLASS_EXIT[verdict.kind]
 
 
 def _cmd_decompose(args) -> int:
-    graph, _ = parse_graph(Path(args.file).read_text())
+    graph, _ = parse_graph(_read(args.file))
     verdict = is_kgraph(graph)
     _emit(_verdict_json(graph, verdict))
     if verdict.kind != KGRAPH:
@@ -98,7 +105,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    built = run_script(Path(args.script).read_text())
+    built = run_script(_read(args.script))
     payload = {
         "mode": built.mode,
         "vertices": list(built.root_graph.vertices),
@@ -112,7 +119,7 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_compass(args) -> int:
-    graph, compass = parse_graph(Path(args.file).read_text())
+    graph, compass = parse_graph(_read(args.file))
     if compass is not None:
         check = is_local_compass_graph(graph, compass)
         if check.ok:
@@ -131,8 +138,8 @@ def _cmd_compass(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    one = run_script(Path(args.script1).read_text())
-    two = run_script(Path(args.script2).read_text())
+    one = run_script(_read(args.script1))
+    two = run_script(_read(args.script2))
     _emit({"equivalent": same_compass_graph(one, two)})
     return EXIT_OK
 

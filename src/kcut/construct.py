@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-from .errors import CompositionError, DomainError, RewriteError, ValidationError
+from .errors import CompositionError, DomainError, GraphInvariantError, RewriteError, ValidationError
 from .graph import SLOTS, Edge, OrientedGraph
 
 MODES = ("K", "Q")
@@ -185,18 +185,23 @@ def cut_graph(d_west: OrientedGraph, e_west: Edge, d_east: OrientedGraph, e_east
 class Construction:
     """A node of a cut-tree; leaves hold a basic or identity graph.
 
-    `root_graph` and the distinguished edges are exactly the values computed
-    bottom-up by `leaf` and `compose`; build instances only through those.
+    Build instances only through `leaf` and `compose`; two constructions are
+    equal when their cut-trees are.  A node keeps its distinguished edges,
+    its root graph's W- and E-edge counts and, until `compose` hands it on
+    to a result, its root index: each root vertex mapped to its W- or
+    E-edge, or to None when inner.  A node without one rebuilds it on use.
     """
 
     mode: str
-    root_graph: OrientedGraph
     yx_items: tuple[tuple[str, Edge], ...]
+    n_w: int = field(compare=False)
+    n_e: int = field(compare=False)
     leaf_obj: Leaf | None = None
     left: "Construction | None" = None
     cut_west: Edge | None = None
     cut_east: Edge | None = None
     right: "Construction | None" = None
+    _index: dict[str, Edge | None] | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_leaf(self) -> bool:
@@ -213,12 +218,39 @@ class Construction:
         return dict(self.yx_items)
 
     @property
+    def operands(self) -> tuple["Construction", Edge, "Construction", Edge]:
+        """The west operand, its cut edge, the east operand and its cut edge."""
+        if self.left is None or self.cut_west is None or self.right is None or self.cut_east is None:
+            raise DomainError("a leaf performs no cut")
+        return self.left, self.cut_west, self.right, self.cut_east
+
+    @property
     def cut_edge(self) -> Edge:
         """The edge this node's cut created in its root graph."""
-        if self.is_leaf:
-            raise DomainError("a leaf performs no cut")
-        assert self.cut_west is not None and self.cut_east is not None
-        return Edge(self.cut_west.tail, self.cut_east.head)
+        _, e_west, _, e_east = self.operands
+        return Edge(e_west.tail, e_east.head)
+
+    @cached_property
+    def root_graph(self) -> OrientedGraph:
+        """Built on first read: each leaf vertex and edge reaches the root or
+        is consumed by one cut, and each cut adds one edge, so counts over
+        the nodes leave exactly the root's vertices and edges."""
+        if self.leaf_obj is not None:
+            return self.leaf_obj.graph
+        vertices: Counter[str] = Counter()
+        edges: Counter[Edge] = Counter()
+        for node in self.postorder():
+            if node.leaf_obj is not None:
+                vertices.update(node.leaf_obj.graph.vertices)
+                edges.update(node.leaf_obj.graph.edges)
+            else:
+                _, e_west, _, e_east = node.operands
+                vertices.subtract((e_west.head, e_east.tail))
+                edges.subtract((e_west, e_east))
+                edges[Edge(e_west.tail, e_east.head)] += 1
+        return OrientedGraph.unchecked(
+            [v for v, k in vertices.items() if k > 0], [e for e, k in edges.items() if k > 0]
+        )
 
     def node_at(self, site: str) -> "Construction":
         """The subtree at a node address: a string of 'L'/'R' from the root."""
@@ -226,49 +258,82 @@ class Construction:
         for i, step in enumerate(site):
             if node.is_leaf or step not in "LR":
                 raise DomainError(f"no node at address {site!r} (stuck after {site[:i]!r})")
-            node = node.left if step == "L" else node.right  # type: ignore[assignment]
-            assert node is not None
+            west, _, east, _ = node.operands
+            node = west if step == "L" else east
         return node
 
+    def postorder(self) -> Iterator["Construction"]:
+        """Every node of the cut-tree, operands (west first) before their
+        cut, from an explicit stack."""
+        stack: list[tuple[Construction, bool]] = [(self, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded or node.leaf_obj is not None:
+                yield node
+            else:
+                west, _, east, _ = node.operands
+                stack += ((node, True), (east, False), (west, False))
+
     def leaves(self) -> Iterator[Leaf]:
-        if self.is_leaf:
-            assert self.leaf_obj is not None
-            yield self.leaf_obj
-        else:
-            assert self.left is not None and self.right is not None
-            yield from self.left.leaves()
-            yield from self.right.leaves()
+        return (node.leaf_obj for node in self.postorder() if node.leaf_obj is not None)
 
     def basic_leaves(self) -> Iterator[BasicKGraph]:
         return (b for b in self.leaves() if isinstance(b, BasicKGraph))
 
     def internal_sites(self) -> Iterator[str]:
         """Addresses of all internal nodes, root first."""
-        if self.is_leaf:
-            return
-        yield ""
-        assert self.left is not None and self.right is not None
-        for sub in self.left.internal_sites():
-            yield "L" + sub
-        for sub in self.right.internal_sites():
-            yield "R" + sub
+        stack = [(self, "")]
+        while stack:
+            node, site = stack.pop()
+            if node.leaf_obj is None:
+                yield site
+                west, _, east, _ = node.operands
+                stack += ((east, site + "R"), (west, site + "L"))
 
     def leaf_vertices(self) -> set[str]:
-        out: set[str] = set()
-        for obj in self.leaves():
-            out.update(obj.graph.vertices)
-        return out
+        return set().union(*(obj.graph.vertices for obj in self.leaves()))
 
     def secondary_vertices(self) -> set[str]:
         """Leaf vertices consumed by cuts, i.e. absent from the root graph."""
-        return self.leaf_vertices() - set(self.root_graph.vertices)
+        return self.leaf_vertices().difference(_root_index(self))
 
     def __str__(self) -> str:
-        if self.is_leaf:
-            assert self.leaf_obj is not None
+        if self.leaf_obj is not None:
             kind = "identity" if isinstance(self.leaf_obj, IdentityGraph) else "basic"
             return f"{kind}{self.leaf_obj.graph}"
         return f"({self.left}[{self.cut_west}-|{self.cut_east}]{self.right})"
+
+
+def _root_index(c: Construction) -> dict[str, Edge | None]:
+    """The index of c's root graph, rebuilt and kept if c handed it on."""
+    if c._index is None:
+        index: dict[str, Edge | None] = {}
+        for e in c.root_graph.edges:  # boundary vertices have degree 1
+            for v in e:
+                index[v] = None if v in index else e
+        object.__setattr__(c, "_index", index)
+    return c._index  # type: ignore[return-value]
+
+
+def _west_holds(west: Construction, east: Construction, e: Edge) -> bool:
+    """Does `e`, an edge of the root graph of `west` cut against `east` but not
+    the cut's own, come from `west`?  Either index answers; one at hand is read."""
+    if west._index is not None:
+        return e.tail in west._index
+    return e.tail not in _root_index(east)
+
+
+def _fold(c: Construction, on_leaf, on_cut):
+    """Evaluate the cut-tree bottom-up: `on_leaf(node)` at the leaves and
+    `on_cut(node, west_value, east_value)` at the cuts."""
+    values: list = []
+    for node in c.postorder():
+        if node.leaf_obj is not None:
+            values.append(on_leaf(node))
+        else:
+            east = values.pop()
+            values.append(on_cut(node, values.pop(), east))
+    return values.pop()
 
 
 def leaf(obj: Leaf, mode: str = "K") -> Construction:
@@ -276,31 +341,26 @@ def leaf(obj: Leaf, mode: str = "K") -> Construction:
     _check_mode(mode)
     if isinstance(obj, BasicKGraph) and mode == "K":
         _check_branching_sides(obj)
-    yx_items = tuple((slot, obj.distinguished[slot]) for slot in SLOTS)
-    return Construction(mode=mode, root_graph=obj.graph, yx_items=yx_items, leaf_obj=obj)
+    n_w, n_e = (len(obj.west), len(obj.east)) if isinstance(obj, BasicKGraph) else (1, 1)
+    distinguished = obj.distinguished
+    return Construction(mode, tuple((s, distinguished[s]) for s in SLOTS), n_w, n_e, leaf_obj=obj)
 
 
 def _distinguished_after_cut(
-    g_west: Construction, e_west: Edge, g_east: Construction, e_east: Edge, new_edge: Edge
+    west: dict[str, Edge], e_west: Edge, east: dict[str, Edge], e_east: Edge, new_edge: Edge
 ) -> tuple[tuple[str, Edge], ...]:
     """Propagate the four distinguished edges through a cut.
 
     Each side keeps the west operand's choice exactly when the east
     operand's corresponding choice is the edge consumed by the cut, and
-    dually; a choice equal to a consumed edge is replaced by the new edge
-    (this only happens when an operand is an identity leaf, whose choices
-    all coincide with its single edge).
+    dually; a choice equal to a consumed edge (only an identity leaf's can
+    be) is replaced by the new edge.
     """
-    out = []
+    chosen = {}
     for y in "NS":
-        w = g_west.yx(y + "W") if g_east.yx(y + "W") == e_east else g_east.yx(y + "W")
-        e = g_east.yx(y + "E") if g_west.yx(y + "E") == e_west else g_west.yx(y + "E")
-        for slot, value in ((y + "W", w), (y + "E", e)):
-            if value in (e_west, e_east):
-                value = new_edge
-            out.append((slot, value))
-    order = {slot: i for i, slot in enumerate(SLOTS)}
-    return tuple(sorted(out, key=lambda item: order[item[0]]))
+        chosen[y + "W"] = west[y + "W"] if east[y + "W"] == e_east else east[y + "W"]
+        chosen[y + "E"] = east[y + "E"] if west[y + "E"] == e_west else west[y + "E"]
+    return tuple((s, new_edge if chosen[s] in (e_west, e_east) else chosen[s]) for s in SLOTS)
 
 
 def compose(g_west: Construction, e_west: Edge, g_east: Construction, e_east: Edge) -> Construction:
@@ -308,38 +368,46 @@ def compose(g_west: Construction, e_west: Edge, g_east: Construction, e_east: Ed
 
     In mode "K", for each of N and S the consumed edge must be the matching
     distinguished edge on at least one side; the failure message names the
-    offending Y.
+    offending Y.  The operands' root indexes check what `cut_graph` would:
+    cuts keep every surviving vertex's degree, so W/E-edges stay functional.
     """
     if g_west.mode != g_east.mode:
         raise DomainError(f"operand modes differ: {g_west.mode} vs {g_east.mode}")
-    mode = g_west.mode
+    mode, west_yx, east_yx = g_west.mode, g_west.yx_map, g_east.yx_map
     if mode == "K":
         for y in "NS":
-            if e_west != g_west.yx(y + "E") and e_east != g_east.yx(y + "W"):
+            if e_west != west_yx[y + "E"] and e_east != east_yx[y + "W"]:
                 raise CompositionError(
                     f"cut edges are distinguished for neither operand at Y={y}: "
                     f"{e_west} is not {y}E of the west operand and "
                     f"{e_east} is not {y}W of the east operand"
                 )
-    root = cut_graph(g_west.root_graph, e_west, g_east.root_graph, e_east)
-    new_edge = Edge(e_west.tail, e_east.head)
-    yx_items = _distinguished_after_cut(g_west, e_west, g_east, e_east, new_edge)
-    result = Construction(
-        mode=mode,
-        root_graph=root,
-        yx_items=yx_items,
-        left=g_west,
-        cut_west=e_west,
-        cut_east=e_east,
-        right=g_east,
-    )
+    west, east = _root_index(g_west), _root_index(g_east)
+    overlap = west.keys() & east.keys()  # iterates the smaller index
+    if overlap:
+        raise DomainError(f"operand graphs share vertices {sorted(overlap)}")
+    (a, b), (c, d) = e_west, e_east
+    if west.get(b) != e_west:
+        raise DomainError(f"{e_west} is not an E-edge of the west operand")
+    if east.get(c) != e_east:
+        raise DomainError(f"{e_east} is not a W-edge of the east operand")
+    new_edge = Edge(a, d)
+    yx_items = _distinguished_after_cut(west_yx, e_west, east_yx, e_east, new_edge)
+    n_w, n_e = g_west.n_w + g_east.n_w - 1, g_west.n_e + g_east.n_e - 1
     if mode == "K":
-        yx = result.yx_map
-        for x, edges in (("W", root.w_edges), ("E", root.e_edges)):
-            assert len(edges) < 2 or yx["N" + x] != yx["S" + x], (
-                f"distinguished {x}-edges collapsed on a branching root: {yx}"
-            )
-    return result
+        yx = dict(yx_items)
+        for x, count in (("W", n_w), ("E", n_e)):
+            if count >= 2 and yx["N" + x] == yx["S" + x]:
+                raise GraphInvariantError(f"distinguished {x}-edges collapsed on a branching root: {yx}")
+    # the result takes the larger index over and copies the smaller into it
+    owner, index, other = (g_west, west, east) if len(west) >= len(east) else (g_east, east, west)
+    object.__setattr__(owner, "_index", None)
+    index.update(other)
+    del index[b], index[c]
+    for v, consumed in ((a, e_west), (d, e_east)):
+        if index[v] == consumed:  # a W-vertex a, or an E-vertex d, keeps its edge
+            index[v] = new_edge
+    return Construction(mode, yx_items, n_w, n_e, None, g_west, e_west, e_east, g_east, index)
 
 
 # -- rewrite moves ---------------------------------------------------------
@@ -347,74 +415,38 @@ def compose(g_west: Construction, e_west: Edge, g_east: Construction, e_east: Ed
 RHO_MOVES = ("assoc", "commuteE", "commuteW")
 
 
+# the operand each move needs to be a cut, and the child of that cut that
+# must hold the outer cut's edge (a commutation is its own inverse)
+_MOVE_SHAPES = {
+    ("assoc", "L2R"): ("west", "east"),
+    ("assoc", "R2L"): ("east", "west"),
+    ("commuteE", "L2R"): ("west", "west"),
+    ("commuteW", "L2R"): ("east", "east"),
+}
+
+
 def _rewrite_node(node: Construction, move: str, direction: str) -> Construction:
     if node.is_leaf:
         raise RewriteError("no cut at this site")
-    assert node.left is not None and node.right is not None
-    g_w, g_e = node.cut_west, node.cut_east
-    assert g_w is not None and g_e is not None
-
-    if move == "assoc" and direction == "L2R":
-        inner = node.left
-        if inner.is_leaf:
-            raise RewriteError("assoc L2R needs a cut as the west operand")
-        assert inner.left is not None and inner.right is not None
-        if not inner.right.root_graph.contains_edge(g_w):
-            raise RewriteError(
-                f"assoc L2R needs the outer cut {g_w} inside the west operand's east child"
-            )
-        return compose(
-            inner.left,
-            inner.cut_west,  # type: ignore[arg-type]
-            compose(inner.right, g_w, node.right, g_e),
-            inner.cut_east,  # type: ignore[arg-type]
-        )
-    if move == "assoc" and direction == "R2L":
-        inner = node.right
-        if inner.is_leaf:
-            raise RewriteError("assoc R2L needs a cut as the east operand")
-        assert inner.left is not None and inner.right is not None
-        if not inner.left.root_graph.contains_edge(g_e):
-            raise RewriteError(
-                f"assoc R2L needs the outer cut {g_e} inside the east operand's west child"
-            )
-        return compose(
-            compose(node.left, g_w, inner.left, g_e),
-            inner.cut_west,  # type: ignore[arg-type]
-            inner.right,
-            inner.cut_east,  # type: ignore[arg-type]
-        )
+    key = (move, direction if move == "assoc" else "L2R")
+    if key not in _MOVE_SHAPES:
+        raise RewriteError(f"unknown move {move!r} with direction {direction!r}")
+    outer, child = _MOVE_SHAPES[key]
+    name = f"{move} {direction}" if move == "assoc" else move
+    west, g_w, east, g_e = node.operands
+    inner, cut = (west, g_w) if outer == "west" else (east, g_e)
+    if inner.is_leaf:
+        raise RewriteError(f"{name} needs a cut as the {outer} operand")
+    i_w, i_cw, i_e, i_ce = inner.operands
+    if cut == inner.cut_edge or _west_holds(i_w, i_e, cut) != (child == "west"):
+        raise RewriteError(f"{name} needs the outer cut {cut} inside the {outer} operand's {child} child")
+    if key == ("assoc", "L2R"):
+        return compose(i_w, i_cw, compose(i_e, g_w, east, g_e), i_ce)
+    if key == ("assoc", "R2L"):
+        return compose(compose(west, g_w, i_w, g_e), i_cw, i_e, i_ce)
     if move == "commuteE":
-        inner = node.left
-        if inner.is_leaf:
-            raise RewriteError("commuteE needs a cut as the west operand")
-        assert inner.left is not None and inner.right is not None
-        if not inner.left.root_graph.contains_edge(g_w):
-            raise RewriteError(
-                f"commuteE needs the outer cut {g_w} inside the west operand's west child"
-            )
-        return compose(
-            compose(inner.left, g_w, node.right, g_e),
-            inner.cut_west,  # type: ignore[arg-type]
-            inner.right,
-            inner.cut_east,  # type: ignore[arg-type]
-        )
-    if move == "commuteW":
-        inner = node.right
-        if inner.is_leaf:
-            raise RewriteError("commuteW needs a cut as the east operand")
-        assert inner.left is not None and inner.right is not None
-        if not inner.right.root_graph.contains_edge(g_e):
-            raise RewriteError(
-                f"commuteW needs the outer cut {g_e} inside the east operand's east child"
-            )
-        return compose(
-            inner.left,
-            inner.cut_west,  # type: ignore[arg-type]
-            compose(node.left, g_w, inner.right, g_e),
-            inner.cut_east,  # type: ignore[arg-type]
-        )
-    raise RewriteError(f"unknown move {move!r} with direction {direction!r}")
+        return compose(compose(i_w, g_w, east, g_e), i_cw, i_e, i_ce)
+    return compose(i_w, i_cw, compose(west, g_w, i_e, g_e), i_ce)
 
 
 def apply_rho_move(g: Construction, site: str, move: str, direction: str = "L2R") -> Construction:
@@ -434,11 +466,11 @@ def apply_rho_move(g: Construction, site: str, move: str, direction: str = "L2R"
             return _rewrite_node(node, move, direction)
         if node.is_leaf:
             raise RewriteError(f"no node at address {site!r}")
-        assert node.left is not None and node.right is not None
+        west, e_west, east, e_east = node.operands
         if rest[0] == "L":
-            return compose(rebuild(node.left, rest[1:]), node.cut_west, node.right, node.cut_east)  # type: ignore[arg-type]
+            return compose(rebuild(west, rest[1:]), e_west, east, e_east)
         if rest[0] == "R":
-            return compose(node.left, node.cut_west, rebuild(node.right, rest[1:]), node.cut_east)  # type: ignore[arg-type]
+            return compose(west, e_west, rebuild(east, rest[1:]), e_east)
         raise RewriteError(f"bad address character {rest[0]!r} in {site!r}")
 
     return rebuild(g, site)
@@ -449,12 +481,7 @@ def applicable_rho_moves(g: Construction) -> list[tuple[str, str, str]]:
     out = []
     for site in g.internal_sites():
         node = g.node_at(site)
-        for move, direction in (
-            ("assoc", "L2R"),
-            ("assoc", "R2L"),
-            ("commuteE", "L2R"),
-            ("commuteW", "L2R"),
-        ):
+        for move, direction in _MOVE_SHAPES:
             try:
                 _rewrite_node(node, move, direction)
             except RewriteError:
@@ -469,37 +496,35 @@ def applicable_rho_moves(g: Construction) -> list[tuple[str, str, str]]:
 def _eliminate_identities(c: Construction) -> tuple[Construction, dict[str, str]]:
     """Remove identity leaves by the unit laws.
 
-    Returns the reduced construction together with the vertex renaming that
-    carries the original root graph onto the reduced one (cutting against an
-    identity only renames one boundary vertex).
+    Returns the reduced construction together with the renaming that
+    carries the original root graph onto the reduced one (cutting against
+    an identity only renames one boundary vertex; vertices it leaves out
+    keep their names).  A subtree without identity leaves comes back as it
+    is.  Each renaming has one owner, so the cuts update them in place.
     """
-    if c.is_leaf:
-        return c, {v: v for v in c.root_graph.vertices}
-    assert c.left is not None and c.right is not None
-    assert c.cut_west is not None and c.cut_east is not None
-    left, lmap = _eliminate_identities(c.left)
-    right, rmap = _eliminate_identities(c.right)
-    a, b = c.cut_west
-    cc, d = c.cut_east
-    left_is_identity = left.is_leaf and isinstance(left.leaf_obj, IdentityGraph)
-    right_is_identity = right.is_leaf and isinstance(right.leaf_obj, IdentityGraph)
+    is_identity = lambda x: isinstance(x.leaf_obj, IdentityGraph)
 
-    if left_is_identity and right_is_identity:
-        ident = IdentityGraph(lmap[a], rmap[d])
-        return leaf(ident, c.mode), {a: lmap[a], d: rmap[d]}
-    if right_is_identity:
-        mapping = {v: lmap[v] for v in c.left.root_graph.vertices if v != b}
-        mapping[d] = lmap[b]
-        return left, mapping
-    if left_is_identity:
-        mapping = {v: rmap[v] for v in c.right.root_graph.vertices if v != cc}
-        mapping[a] = rmap[cc]
-        return right, mapping
-    e_west = Edge(lmap[a], lmap[b])
-    e_east = Edge(rmap[cc], rmap[d])
-    mapping = {v: lmap[v] for v in c.left.root_graph.vertices if v != b}
-    mapping.update({v: rmap[v] for v in c.right.root_graph.vertices if v != cc})
-    return compose(left, e_west, right, e_east), mapping
+    def on_cut(node, reduced_west, reduced_east):
+        (west, wmap), (east, emap) = reduced_west, reduced_east
+        old_west, (a, b), old_east, (c, d) = node.operands
+        if is_identity(west) and is_identity(east):
+            ident = IdentityGraph(wmap.get(a, a), emap.get(d, d))
+            return leaf(ident, node.mode), {a: ident.west, d: ident.east}
+        if is_identity(east):  # d takes the place of b
+            wmap[d] = wmap.pop(b, b)
+            return west, wmap
+        if is_identity(west):  # a takes the place of c
+            emap[a] = emap.pop(c, c)
+            return east, emap
+        if west is old_west and east is old_east:
+            return node, {}
+        e_west = Edge(wmap.get(a, a), wmap.pop(b, b))
+        e_east = Edge(emap.pop(c, c), emap.get(d, d))
+        small, big = sorted((wmap, emap), key=len)
+        big.update(small)
+        return compose(west, e_west, east, e_east), big
+
+    return _fold(c, lambda node: (node, {}), on_cut)
 
 
 def eliminate_identities(c: Construction) -> Construction:
@@ -550,24 +575,16 @@ def _leaf_secondary_order(obj: Leaf, secondary: set[str], pairing: dict[str, Edg
     return out
 
 
-def _rebuild(c: Construction, mapping: Mapping[str, str]) -> Construction:
-    if c.is_leaf:
-        assert c.leaf_obj is not None
-        return leaf(c.leaf_obj.rename(mapping), c.mode)
-    assert c.left is not None and c.right is not None
-    assert c.cut_west is not None and c.cut_east is not None
-    sub = lambda v: mapping.get(v, v)
-    return compose(
-        _rebuild(c.left, mapping),
-        Edge(sub(c.cut_west.tail), sub(c.cut_west.head)),
-        _rebuild(c.right, mapping),
-        Edge(sub(c.cut_east.tail), sub(c.cut_east.head)),
-    )
-
-
 def rename_construction(c: Construction, mapping: Mapping[str, str]) -> Construction:
     """The same construction tree with vertices renamed everywhere."""
-    return _rebuild(c, mapping)
+    sub = lambda v: mapping.get(v, v)
+    sub_edge = lambda e: Edge(sub(e.tail), sub(e.head))
+
+    def on_cut(node: Construction, west: Construction, east: Construction) -> Construction:
+        _, e_west, _, e_east = node.operands
+        return compose(west, sub_edge(e_west), east, sub_edge(e_east))
+
+    return _fold(c, lambda node: leaf(node.leaf_obj.rename(mapping), node.mode), on_cut)
 
 
 def sigma_canonical(g: Construction) -> Construction:
@@ -583,22 +600,14 @@ def sigma_canonical(g: Construction) -> Construction:
     if not secondary:
         return g
     pairing: dict[str, Edge] = {}
-
-    def record(c: Construction) -> None:
-        if c.is_leaf:
-            return
-        assert c.left is not None and c.right is not None
-        assert c.cut_west is not None and c.cut_east is not None
-        record(c.left)
-        record(c.right)
-        pairing[c.cut_west.head] = c.cut_edge
-        pairing[c.cut_east.tail] = c.cut_edge
-
-    record(g)
-    root_set = set(g.root_graph.vertices)
+    for node in g.postorder():
+        if node.leaf_obj is None:
+            _, e_west, _, e_east = node.operands
+            pairing[e_west.head] = pairing[e_east.tail] = Edge(e_west.tail, e_east.head)
+    root = _root_index(g)
 
     def leaf_key(obj: Leaf) -> tuple:
-        anchor = tuple(sorted(set(obj.graph.vertices) & root_set))
+        anchor = tuple(sorted(v for v in obj.graph.vertices if v in root))
         return (anchor, tuple(sorted(obj.graph.vertices)))
 
     mapping: dict[str, str] = {}
@@ -606,7 +615,7 @@ def sigma_canonical(g: Construction) -> Construction:
     for obj in sorted(g.leaves(), key=leaf_key):
         for v in _leaf_secondary_order(obj, secondary, pairing):
             mapping[v] = f"{SECONDARY_PREFIX}{next(counter)}"
-    return _rebuild(g, mapping)
+    return rename_construction(g, mapping)
 
 
 def same_compass_graph(g: Construction, h: Construction) -> bool:
@@ -636,26 +645,20 @@ def decompose_at(g: Construction, e: Edge) -> tuple[Construction, Edge, Construc
         raise DomainError("only mode-K constructions are split here")
     if not g.root_graph.contains_edge(e) or not g.root_graph.is_inner_edge(e):
         raise DomainError(f"{e} is not an inner edge of the root graph")
-    return _decompose_at(g, e)
-
-
-def _decompose_at(g: Construction, e: Edge) -> tuple[Construction, Edge, Construction, Edge]:
-    assert not g.is_leaf  # an inner edge of a star's root graph cannot exist
-    assert g.left is not None and g.right is not None
-    assert g.cut_west is not None and g.cut_east is not None
-    if g.cut_edge == e:
-        return g.left, g.cut_west, g.right, g.cut_east
-    if g.left.root_graph.contains_edge(e):
-        h_w, e_w, h_e, e_e = _decompose_at(g.left, e)
-        # g is rewrite-equivalent to (h_w [e] h_e) [cut] right
-        if h_e.root_graph.contains_edge(g.cut_west):
-            # associativity: move the outer cut inside the east piece
-            return h_w, e_w, compose(h_e, g.cut_west, g.right, g.cut_east), e_e
-        # commutation of two cuts into the same west piece
-        return compose(h_w, g.cut_west, g.right, g.cut_east), e_w, h_e, e_e
-    h_w, e_w, h_e, e_e = _decompose_at(g.right, e)
-    # g is rewrite-equivalent to left [cut] (h_w [e] h_e)
-    if h_w.root_graph.contains_edge(g.cut_east):
-        return compose(g.left, g.cut_west, h_w, g.cut_east), e_w, h_e, e_e
-    # commutation of two cuts into the same east piece
-    return h_w, e_w, compose(g.left, g.cut_west, h_e, g.cut_east), e_e
+    # down to the cut that created e (no star has an inner edge) ...
+    path = []
+    node = g
+    while node.cut_edge != e:
+        west, _, east, _ = node.operands
+        path.append((node, _west_holds(west, east, e)))
+        node = west if path[-1][1] else east
+    h_w, e_w, h_e, e_e = node.operands
+    # ... and back up: a node whose west operand became (h_w [e] h_e) moves its
+    # cut into the piece holding its cut edge (assoc. or commutation), and dually
+    for node, went_west in reversed(path):
+        west, c_w, east, c_e = node.operands
+        if _west_holds(h_w, h_e, c_w if went_west else c_e):
+            h_w = compose(h_w, c_w, east, c_e) if went_west else compose(west, c_w, h_w, c_e)
+        else:
+            h_e = compose(h_e, c_w, east, c_e) if went_west else compose(west, c_w, h_e, c_e)
+    return h_w, e_w, h_e, e_e

@@ -135,7 +135,8 @@ _SCAN_NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
 class _ExprParser:
-    """Recursive-descent reader for `NAME` / `cut(expr, a->b, expr, c->d)`."""
+    """Reader for `NAME` / `cut(expr, a->b, expr, c->d)` that keeps its open
+    cuts on a stack, so nesting depth is bounded by memory only."""
 
     def __init__(self, text: str, line: int, script: _Script):
         self.text = text
@@ -162,28 +163,34 @@ class _ExprParser:
         return Edge(match.group(1), match.group(2))
 
     def expression(self) -> Construction:
-        self._skip_spaces()
-        if _CUT_RE.match(self.text, self.pos):
-            self._expect("cut")
-            self._expect("(")
-            west = self.expression()
+        # open cuts, innermost last: [] until the west operand, then [west, e_west]
+        pending: list[list] = []
+        while True:
+            self._skip_spaces()
+            if _CUT_RE.match(self.text, self.pos):
+                self._expect("cut")
+                self._expect("(")
+                pending.append([])
+                continue
+            match = _SCAN_NAME_RE.match(self.text, self.pos)
+            if not match:
+                raise ParseError("expected a name or cut(...)", self.line, self.pos + 1)
+            self.pos = match.end()
+            value = self._use(match.group(0))
+            while pending and pending[-1]:
+                west, e_west = pending.pop()
+                self._expect(",")
+                e_east = self._edge()
+                self._expect(")")
+                try:
+                    value = compose(west, e_west, value, e_east)
+                except KcutError as err:
+                    raise ParseError(str(err), self.line, self.pos) from err
+            if not pending:
+                return value
             self._expect(",")
-            e_west = self._edge()
+            pending[-1] += (value, self._edge())
             self._expect(",")
-            east = self.expression()
-            self._expect(",")
-            e_east = self._edge()
-            self._expect(")")
-            try:
-                return compose(west, e_west, east, e_east)
-            except KcutError as err:
-                raise ParseError(str(err), self.line, self.pos) from err
-        match = _SCAN_NAME_RE.match(self.text, self.pos)
-        if not match:
-            raise ParseError("expected a name or cut(...)", self.line, self.pos + 1)
-        name = match.group(0)
-        self.pos = match.end()
-        return self._use(name)
 
     def _use(self, name: str) -> Construction:
         if name in self.script.consumed:

@@ -152,6 +152,13 @@ class OrientedGraph:
                 )
         return cls(vs, es)
 
+    @classmethod
+    def unchecked(cls, vertices: Iterable[str], edges: Iterable[Edge]) -> "OrientedGraph":
+        """Constructor for graphs whose invariants the caller guarantees (a
+        side of a valid tree, a cut-tree's root): it only sorts distinct
+        vertices and distinct `Edge`s."""
+        return cls(tuple(sorted(vertices)), tuple(sorted(edges)))
+
     # -- basic queries ----------------------------------------------------
 
     @cached_property

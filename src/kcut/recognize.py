@@ -153,7 +153,7 @@ def _hanging_tree(graph: OrientedGraph, root: str, attach: Edge) -> OrientedGrap
     and `root` itself."""
     far = attach.head if attach.tail == root else attach.tail
     members, edges = graph.side(far, attach)
-    return OrientedGraph.of(members + [root], edges + [attach])
+    return OrientedGraph.unchecked(members + [root], edges + [attach])
 
 
 def _hangs_uniformly(graph: OrientedGraph, root: str, attach: Edge) -> bool:

@@ -8,8 +8,9 @@ decency by pairwise forward reachability (with the indecent-path witness,
 the covering-path check of `compose_local` and the recovery of
 distinguished edges re-derived from every directed path), compass
 existence by enumerating all assignments, rewrite equivalence by
-breadth-first search over moves, and oriented-tree counts from labeled
-trees.  None of it shares algorithms with the production path it checks.
+breadth-first search over moves, cuts by copying and re-validating whole
+root graphs, cut-tree walks by recursion, and oriented-tree counts from
+labeled trees.  None of it shares algorithms with the production path it checks.
 """
 
 from __future__ import annotations
@@ -19,9 +20,12 @@ import itertools
 from collections import deque
 
 from kcut import (
+    SLOTS,
     CompositionError,
     Construction,
+    DomainError,
     Edge,
+    GraphInvariantError,
     IdentityGraph,
     OrientedGraph,
     RewriteError,
@@ -315,6 +319,71 @@ def _encode(c: Construction):
             return ("identity", obj.west, obj.east)
         return ("basic", obj.center, obj.west, obj.east, obj.nw, obj.sw, obj.ne, obj.se)
     return ("cut", _encode(c.left), c.cut_west, _encode(c.right), c.cut_east)
+
+
+def compose_by_copying(
+    g_west: Construction, e_west: Edge, g_east: Construction, e_east: Edge
+) -> tuple[OrientedGraph, tuple[tuple[str, Edge], ...]]:
+    """The cut as first written: splice copies of both root graphs through
+    the validating `cut_graph`, then rescan the result for its W- and
+    E-edges.  Returns the root graph and the distinguished edges, or raises
+    what that cut raised, in the same order."""
+    if g_west.mode != g_east.mode:
+        raise DomainError(f"operand modes differ: {g_west.mode} vs {g_east.mode}")
+    west, east = g_west.yx_map, g_east.yx_map
+    if g_west.mode == "K":
+        for y in "NS":
+            if e_west != west[y + "E"] and e_east != east[y + "W"]:
+                raise CompositionError(
+                    f"cut edges are distinguished for neither operand at Y={y}: "
+                    f"{e_west} is not {y}E of the west operand and "
+                    f"{e_east} is not {y}W of the east operand"
+                )
+    root = cut_graph(g_west.root_graph, e_west, g_east.root_graph, e_east)
+    new_edge = Edge(e_west.tail, e_east.head)
+    chosen = {}
+    for y in "NS":
+        chosen[y + "W"] = west[y + "W"] if east[y + "W"] == e_east else east[y + "W"]
+        chosen[y + "E"] = east[y + "E"] if west[y + "E"] == e_west else west[y + "E"]
+    yx = {slot: new_edge if chosen[slot] in (e_west, e_east) else chosen[slot] for slot in SLOTS}
+    if g_west.mode == "K":
+        for x, edges in (("W", root.w_edges), ("E", root.e_edges)):
+            if len(edges) >= 2 and yx["N" + x] == yx["S" + x]:
+                raise GraphInvariantError(
+                    f"distinguished {x}-edges collapsed on a branching root: {yx}"
+                )
+    return root, tuple(yx.items())
+
+
+def leaves_by_recursion(c: Construction) -> list:
+    if c.is_leaf:
+        return [c.leaf_obj]
+    return leaves_by_recursion(c.left) + leaves_by_recursion(c.right)
+
+
+def internal_sites_by_recursion(c: Construction) -> list[str]:
+    if c.is_leaf:
+        return []
+    return (
+        [""]
+        + ["L" + s for s in internal_sites_by_recursion(c.left)]
+        + ["R" + s for s in internal_sites_by_recursion(c.right)]
+    )
+
+
+def compass_entries_by_recursion(c: Construction) -> dict:
+    """The leaf compasses pushed through the cuts bottom-up, one copied dict
+    per node: each cut redirects values equal to a consumed edge."""
+    if c.is_leaf:
+        obj = c.leaf_obj
+        if isinstance(obj, IdentityGraph):
+            return {}
+        return {(obj.center, slot): edge for slot, edge in obj.distinguished.items()}
+    entries = {}
+    for child in (c.left, c.right):
+        for key, value in compass_entries_by_recursion(child).items():
+            entries[key] = c.cut_edge if value in (c.cut_west, c.cut_east) else value
+    return entries
 
 
 def rho_equivalent_by_search(g: Construction, h: Construction, max_states: int = 20000) -> bool:

@@ -1,7 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import kcut
 from kcut.cli import main
 from kcut.formats import parse_graph, serialize_graph
 from kcut.compass import is_local_compass_graph
@@ -176,3 +183,39 @@ def test_enumerate_respects_the_bound(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("KCUT_MAX_ENUM", "3")
     code, _, err = run(capsys, "enumerate", "--max", "5")
     assert code == 1 and "exceeds" in err
+
+
+@pytest.mark.parametrize("command", ["check", "decompose", "compass", "compose", "equiv"])
+def test_a_file_that_is_not_utf8_gives_one_line_and_exit_one(tmp_path, capsys, command):
+    path = tmp_path / "latin"
+    path.write_bytes(b"v\xff\xfe")
+    argv = [command, str(path)] + ([str(path)] if command == "equiv" else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"kcut: {path}: not UTF-8 text (byte 1)\n")
+
+
+def test_fixture_commands_behave_the_same_under_python_dash_o(tmp_path, capsys):
+    """No exit code or stdout of the commands above depends on `assert`."""
+    f3, f4, f5 = (
+        write(tmp_path, name, serialize_graph(graph)) for name, graph in (("f3", F3), ("f4", F4), ("f5", F5))
+    )
+    f6 = write(tmp_path, "f6", serialize_graph(F6, F6_COMPASS))
+    script = write(tmp_path, "s.kc", F2_SCRIPT)
+    commands = [
+        ["check", f3], ["check", f4], ["check", f5], ["check", write(tmp_path, "bad", "v a\ne a a\n")],
+        ["decompose", f3, "--dot", str(tmp_path / "out.dot")], ["decompose", f4],
+        ["compose", script],
+        ["compose", write(tmp_path, "bad.kc", F2_SCRIPT.replace("m->e1, B1", "w1->m, B1"))],
+        ["compass", f3], ["compass", f6], ["compass", f4],
+        ["equiv", script, write(tmp_path, "two.kc", F2_SCRIPT_ASSOC)],
+        ["equiv", script, write(tmp_path, "three.kc", F2_SCRIPT_OTHER_NAMES)],
+        ["gen", "--mode", "k", "--leaves", "3", "--seed", "9"],
+        ["enumerate", "--max", "4", "--classify"],
+    ]
+    src = str(Path(kcut.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv in commands:
+        code, out, _ = run(capsys, *argv)
+        proc = subprocess.run([sys.executable, "-O", "-m", "kcut.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (code, out), argv

@@ -166,3 +166,25 @@ def test_script_roundtrip_for_generated_constructions():
         assert run_script(script_of(built)) == built
         q_built = random_construction(seed, 4, "Q")
         assert run_script(script_of(q_built)) == q_built
+
+
+def _identity_nest(depth: int) -> tuple[list[str], str]:
+    """Declarations and a `cut(` expression nested `depth` deep: a star cut
+    against one identity per level."""
+    head = ["mode K", "basic S { west: a; east: z; center: m; NW: a; SW: a; NE: z; SE: z }"]
+    head += [f"identity I{i} {{ west: x{i}; east: y{i} }}" for i in range(depth)]
+    expr, tail = "cut(" * depth + "S", "z"
+    for i in range(depth):
+        expr += f", m->{tail}, I{i}, x{i}->y{i})"
+        tail = f"y{i}"
+    return head, expr
+
+
+def test_a_deep_cut_nest_parses_below_the_recursion_limit():
+    head, expr = _identity_nest(2000)
+    built = run_script("\n".join(head + [f"emit {expr}"]) + "\n")
+    assert built.root_graph.vertices == ("a", "m", "y1999")
+    assert built.yx("SE") == e("m>y1999")
+    with pytest.raises(ParseError) as info:
+        run_script("\n".join(head + [f"emit {expr[:-1]}"]) + "\n")
+    assert str(info.value) == f"line {len(head) + 1}, column {len(expr)}: expected ')'"
