@@ -2,20 +2,24 @@
 
 `lambda_of` reads a compass off a construction: each basic leaf stamps its
 distinguished edges onto its center, and every cut redirects values equal to
-a consumed edge onto the new edge.  `construction_from_compass` inverts it:
-it splits the carrier at inner edges, restricting the compass to each side,
-until only stars (and, in the extended setting, single edges) remain.  The
-distinguished edges of a construction can also be recovered from its compass
-alone: the X-edge all of whose covering paths are YX-paths.  That is read
-off one linear fold of the non-YX edges over the tree; no path is built.
+a consumed edge onto the new edge.  `construction_from_compass` inverts it
+without splitting anything: every inner vertex becomes a star whose
+distinguished edges are its compass values, each inner edge becomes a fresh
+pair of stubs, and one breadth-first walk cuts the stars back together
+along the inner edges, children into parents, in O(n log n) and without
+recursion (`construct.assemble`).  In the extended setting a single edge
+becomes an identity leaf.  The distinguished edges of a construction can
+also be recovered from its compass alone: the X-edge all of whose covering
+paths are YX-paths.  That is read off one linear fold of the non-YX edges
+over the tree; no path is built.
 """
 
 from __future__ import annotations
 
 from .compass import Compass, LocalCompassGraph, is_local_compass_graph, reach_marks
-from .construct import BasicKGraph, Construction, IdentityGraph, compose, fresh_secondary_names, leaf, make_basic
+from .construct import BasicKGraph, Construction, assemble
 from .errors import DomainError
-from .graph import Edge, OrientedGraph, SemiPath, split_at_inner_edge
+from .graph import SLOTS, Edge, OrientedGraph, SemiPath
 
 
 def lambda_of(g: Construction) -> LocalCompassGraph:
@@ -89,51 +93,11 @@ def distinguished_from_compass(lcg: LocalCompassGraph, y: str, x: str) -> Edge:
 
 
 def construction_from_compass(lcg: LocalCompassGraph, extended: bool = False) -> Construction:
-    """A construction whose compass is exactly `lcg`.
-
-    The carrier is split at its smallest inner edge, with fresh secondary
-    vertices rebuilding the two cut pieces and the compass restricted to
-    each side; stars become basic leaves read off the compass.
-    """
+    """A construction whose compass is exactly `lcg`: the star of every
+    inner vertex reads its distinguished edges off the compass, and the
+    stars are cut back together along the inner edges (`assemble`)."""
     verdict = is_local_compass_graph(lcg.graph, lcg.compass, extended=extended)
     if not verdict.ok:
         raise DomainError(f"not a local compass graph: {verdict.describe()}")
-    names = fresh_secondary_names(lcg.graph.vertices)
-    return _build(lcg.graph, lcg.compass, names)
-
-
-def _build(graph: OrientedGraph, compass: Compass, names) -> Construction:
-    inner_edges = graph.inner_edges
-    if not inner_edges:
-        inner = graph.inner_vertices
-        if not inner:
-            # extended base case: a single edge
-            edge = graph.edges[0]
-            return leaf(IdentityGraph(edge.tail, edge.head), "K")
-        center = inner[0]
-        wests = tuple(e.tail for e in graph.in_edges(center))
-        easts = tuple(e.head for e in graph.out_edges(center))
-        basic = make_basic(
-            center,
-            wests,
-            easts,
-            compass.edge(center, "NW"),
-            compass.edge(center, "SW"),
-            compass.edge(center, "NE"),
-            compass.edge(center, "SE"),
-            mode="K",
-        )
-        return leaf(basic, "K")
-    e = inner_edges[0]
-    b, c = next(names), next(names)
-    west_graph, east_graph = split_at_inner_edge(graph, e, b, c)
-    e_west = Edge(e.tail, b)
-    e_east = Edge(c, e.head)
-    west_compass = compass.restricted(west_graph.inner_vertices).substituted({e: e_west})
-    east_compass = compass.restricted(east_graph.inner_vertices).substituted({e: e_east})
-    return compose(
-        _build(west_graph, west_compass, names),
-        e_west,
-        _build(east_graph, east_compass, names),
-        e_east,
-    )
+    compass = lcg.compass
+    return assemble(lcg.graph, "K", lambda v, star, toward: [star[compass.edge(v, s)] for s in SLOTS])

@@ -3,7 +3,8 @@
 Verdicts are printed as one JSON object per line with sorted keys, so the
 output is schema-stable.  Exit codes: 0 for a K-graph or plain success, 2
 for a Q-graph that is not a K-graph, 3 for a graph that is not a Q-graph,
-and 1 for usage, parse or validation errors.
+and 1 for usage, parse or validation errors.  Each command imports the
+modules it uses when it runs, so start-up loads no other.
 """
 
 from __future__ import annotations
@@ -13,38 +14,19 @@ import json
 import sys
 from pathlib import Path
 
-from .compass import is_local_compass_graph
-from .construct import same_compass_graph
-from .dot import export_dot
-from .errors import KcutError
-from .formats import parse_graph, run_script, script_of, serialize_graph
-from .generate import (
-    enumerate_oriented_trees,
-    max_enumeration_size,
-    random_construction,
-)
-from .recognize import (
-    KGRAPH,
-    NOT_QGRAPH,
-    QGRAPH_ONLY,
-    Decomposition,
-    is_kgraph,
-    synthesize_compass,
-)
+from .errors import GraphInvariantError, KcutError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_QGRAPH_ONLY = 2
 EXIT_NOT_QGRAPH = 3
 
-_CLASS_EXIT = {KGRAPH: EXIT_OK, QGRAPH_ONLY: EXIT_QGRAPH_ONLY, NOT_QGRAPH: EXIT_NOT_QGRAPH}
-
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _decomposition_json(decomposition: Decomposition) -> dict:
+def _decomposition_json(decomposition) -> dict:
     return {
         "transversal": list(decomposition.transversal.vertices),
         "transversal_edges": [str(e) for e in decomposition.transversal.edges],
@@ -59,7 +41,10 @@ def _decomposition_json(decomposition: Decomposition) -> dict:
     }
 
 
-def _verdict_json(graph, verdict) -> dict:
+def _report(graph, verdict) -> int:
+    """Print a verdict with its certificate; return its exit code."""
+    from .recognize import KGRAPH, QGRAPH_ONLY
+
     payload = {
         "class": verdict.kind,
         "vertices": len(graph.vertices),
@@ -67,16 +52,20 @@ def _verdict_json(graph, verdict) -> dict:
     }
     if verdict.kind == KGRAPH:
         payload.update(_decomposition_json(verdict.decomposition))
+        code = EXIT_OK
     elif verdict.kind == QGRAPH_ONLY:
         payload["bifurcation"] = {
             "vertex": verdict.bifurcation.vertex,
             "edges": [str(e) for e in verdict.bifurcation.edges],
             "pattern": list(verdict.bifurcation.pattern),
         }
+        code = EXIT_QGRAPH_ONLY
     else:
         payload["condition"] = verdict.failure.condition
         payload["witness"] = str(verdict.failure.witness)
-    return payload
+        code = EXIT_NOT_QGRAPH
+    _emit(payload)
+    return code
 
 
 def _read(path: str) -> str:
@@ -87,24 +76,30 @@ def _read(path: str) -> str:
 
 
 def _cmd_check(args) -> int:
+    from .formats import parse_graph
+    from .recognize import is_kgraph
+
     graph, _ = parse_graph(_read(args.file))
-    verdict = is_kgraph(graph)
-    _emit(_verdict_json(graph, verdict))
-    return _CLASS_EXIT[verdict.kind]
+    return _report(graph, is_kgraph(graph))
 
 
 def _cmd_decompose(args) -> int:
+    from .formats import parse_graph
+    from .recognize import is_kgraph
+
     graph, _ = parse_graph(_read(args.file))
     verdict = is_kgraph(graph)
-    _emit(_verdict_json(graph, verdict))
-    if verdict.kind != KGRAPH:
-        return _CLASS_EXIT[verdict.kind]
-    if args.dot:
+    code = _report(graph, verdict)
+    if code == EXIT_OK and args.dot:
+        from .dot import export_dot
+
         Path(args.dot).write_text(export_dot(graph, verdict.decomposition))
-    return EXIT_OK
+    return code
 
 
 def _cmd_compose(args) -> int:
+    from .formats import run_script, serialize_graph
+
     built = run_script(_read(args.script))
     payload = {
         "mode": built.mode,
@@ -119,6 +114,10 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_compass(args) -> int:
+    from .compass import is_local_compass_graph
+    from .formats import parse_graph, serialize_graph
+    from .recognize import KGRAPH, is_kgraph, synthesize_compass
+
     graph, compass = parse_graph(_read(args.file))
     if compass is not None:
         check = is_local_compass_graph(graph, compass)
@@ -129,15 +128,18 @@ def _cmd_compass(args) -> int:
         return EXIT_NOT_QGRAPH if check.condition in (1, 2, 3) else EXIT_QGRAPH_ONLY
     verdict = is_kgraph(graph)
     if verdict.kind != KGRAPH:
-        _emit(_verdict_json(graph, verdict))
-        return _CLASS_EXIT[verdict.kind]
+        return _report(graph, verdict)
     compass = synthesize_compass(graph)
-    assert compass is not None
+    if compass is None:
+        raise GraphInvariantError("a K-graph without a compass")
     sys.stdout.write(serialize_graph(graph, compass))
     return EXIT_OK
 
 
 def _cmd_equiv(args) -> int:
+    from .construct import same_compass_graph
+    from .formats import run_script
+
     one = run_script(_read(args.script1))
     two = run_script(_read(args.script2))
     _emit({"equivalent": same_compass_graph(one, two)})
@@ -145,14 +147,20 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .formats import script_of
+    from .generate import random_construction
+
     built = random_construction(args.seed, args.leaves, args.mode.upper())
     sys.stdout.write(script_of(built))
     return EXIT_OK
 
 
 def _cmd_enumerate(args) -> int:
+    from .generate import enumerate_oriented_trees, max_enumeration_size
+    from .recognize import is_kgraph
+
     index = 0
-    for size in range(1, args.max + 1):
+    for size in range(1, (max_enumeration_size() if args.max is None else args.max) + 1):
         for graph in enumerate_oriented_trees(size):
             payload = {
                 "id": index,
@@ -204,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(handler=_cmd_gen)
 
     enumerate_cmd = sub.add_parser("enumerate", help="stream oriented trees up to a size")
-    enumerate_cmd.add_argument("--max", type=int, default=max_enumeration_size())
+    enumerate_cmd.add_argument("--max", type=int, help="largest tree size (default: the enumeration bound)")
     enumerate_cmd.add_argument("--classify", action="store_true")
     enumerate_cmd.set_defaults(handler=_cmd_enumerate)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .construct import cut_graph
 from .errors import CompositionError, DomainError, ValidationError
@@ -73,10 +73,6 @@ class Compass:
                 raise ValidationError(f"conflicting compass values at {key}")
             combined[key] = e
         return Compass.of(combined)
-
-    def restricted(self, vertices: Iterable[str]) -> "Compass":
-        keep = set(vertices)
-        return Compass.of({(v, slot): e for v, slot, e in self.entries if v in keep})
 
 
 @dataclass(frozen=True)

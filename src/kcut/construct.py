@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
@@ -181,7 +181,7 @@ def cut_graph(d_west: OrientedGraph, e_west: Edge, d_east: OrientedGraph, e_east
     return OrientedGraph.of(vertices, edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Construction:
     """A node of a cut-tree; leaves hold a basic or identity graph.
 
@@ -190,18 +190,60 @@ class Construction:
     its root graph's W- and E-edge counts and, until `compose` hands it on
     to a result, its root index: each root vertex mapped to its W- or
     E-edge, or to None when inner.  A node without one rebuilds it on use.
+    `==`, `hash`, `repr` and `str` walk the cut-tree with explicit stacks,
+    so they hold at any depth; the hash is kept once computed.
     """
 
     mode: str
     yx_items: tuple[tuple[str, Edge], ...]
-    n_w: int = field(compare=False)
-    n_e: int = field(compare=False)
+    n_w: int
+    n_e: int
     leaf_obj: Leaf | None = None
     left: "Construction | None" = None
     cut_west: Edge | None = None
     cut_east: Edge | None = None
     right: "Construction | None" = None
-    _index: dict[str, Edge | None] | None = field(default=None, compare=False, repr=False)
+    _index: dict[str, Edge | None] | None = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Construction):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            one, two = pairs.pop()
+            if one is two:
+                continue
+            if _node_key(one) != _node_key(two):
+                return False
+            if one.leaf_obj is None:
+                pairs += ((one.left, two.left), (one.right, two.right))
+        return True
+
+    def __hash__(self) -> int:
+        if "_hash" not in self.__dict__:
+
+            def on_node(node: Construction, *operands: int) -> int:
+                value = hash(_node_key(node) + operands)
+                object.__setattr__(node, "_hash", value)
+                return value
+
+            _fold(self, on_node, on_node)
+        return self.__dict__["_hash"]
+
+    def __repr__(self) -> str:
+        def parts(n: Construction) -> tuple[str, str, str]:
+            head = f"Construction(mode={n.mode!r}, yx_items={n.yx_items!r}, n_w={n.n_w!r}, n_e={n.n_e!r}, "
+            return (head + f"leaf_obj={n.leaf_obj!r}, left=",
+                    f", cut_west={n.cut_west!r}, cut_east={n.cut_east!r}, right=", ")")
+
+        return _render(self, lambda n: "None".join(parts(n)), parts)
+
+    def __str__(self) -> str:
+        def leaf_text(n: Construction) -> str:
+            kind = "identity" if isinstance(n.leaf_obj, IdentityGraph) else "basic"
+            return f"{kind}{n.leaf_obj.graph}"
+
+        return _render(self, leaf_text, lambda n: ("(", f"[{n.cut_west}-|{n.cut_east}]", ")"))
 
     @property
     def is_leaf(self) -> bool:
@@ -297,11 +339,28 @@ class Construction:
         """Leaf vertices consumed by cuts, i.e. absent from the root graph."""
         return self.leaf_vertices().difference(_root_index(self))
 
-    def __str__(self) -> str:
-        if self.leaf_obj is not None:
-            kind = "identity" if isinstance(self.leaf_obj, IdentityGraph) else "basic"
-            return f"{kind}{self.leaf_obj.graph}"
-        return f"({self.left}[{self.cut_west}-|{self.cut_east}]{self.right})"
+
+def _node_key(n: Construction) -> tuple:
+    """What `==` compares at each node of the two cut-trees."""
+    return (n.mode, n.yx_items, n.leaf_obj, n.cut_west, n.cut_east)
+
+
+def _render(c: Construction, leaf_text, parts) -> str:
+    """The text of a cut-tree: `leaf_text(node)` at a leaf, and at a cut the
+    three strings of `parts(node)` around the west and the east operand."""
+    out: list[str] = []
+    stack: list = [c]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item.leaf_obj is not None:
+            out.append(leaf_text(item))
+        else:
+            opening, middle, closing = parts(item)
+            out.append(opening)
+            stack += (closing, item.right, middle, item.left)
+    return "".join(out)
 
 
 def _root_index(c: Construction) -> dict[str, Edge | None]:
@@ -408,6 +467,52 @@ def compose(g_west: Construction, e_west: Edge, g_east: Construction, e_east: Ed
         if index[v] == consumed:  # a W-vertex a, or an E-vertex d, keeps its edge
             index[v] = new_edge
     return Construction(mode, yx_items, n_w, n_e, None, g_west, e_west, e_east, g_east, index)
+
+
+def assemble(graph: OrientedGraph, mode: str, distinguished, root: str | None = None) -> Construction:
+    """A construction of `graph`, a tree whose every vertex is inner or a
+    leaf, from one star per inner vertex.
+
+    Each inner edge (a, d) gets a fresh pair (b, c) up front, and the star
+    at v holds v's edges with every inner one replaced by its stub (a, b) or
+    (c, d).  `distinguished(v, star, toward)` gives that star's NW, SW, NE
+    and SE edges, where `star` maps each edge at v to its edge in the star
+    and `toward` is the star's edge on the way to the star at `root` (None
+    there; by default the first inner vertex).  The inner vertices are
+    walked breadth-first from `root`; in reverse order each finished piece,
+    a connected region of `graph`, is cut into its parent's across their
+    shared edge.  Nothing recurses, and `compose` merges the smaller root
+    index into the larger, so the whole costs O(n log n).  Without an inner
+    vertex, `graph` is one edge and becomes an identity leaf.
+    """
+    if not graph.inner_vertices:
+        return leaf(IdentityGraph(*graph.edges[0]), mode)
+    root = root or graph.inner_vertices[0]
+    order, parent = graph._walk(root)
+    order = [v for v in order if graph._in[v] and graph._out[v]]
+    inner = set(order)
+    names = fresh_secondary_names(graph.vertices)
+    pairs = {e: (next(names), next(names)) for e in graph.edges if e.tail in inner and e.head in inner}
+    pieces = {}
+    for v in order:
+        star = {}
+        for e in graph._in[v] + graph._out[v]:
+            pair = pairs.get(e)
+            star[e] = e if pair is None else Edge(v, pair[0]) if e.tail == v else Edge(pair[1], v)
+        toward = None if v == root else star[graph._edge_between(parent[v], v)]
+        wests = [s.tail for s in star.values() if s.head == v]
+        easts = [s.head for s in star.values() if s.tail == v]
+        basic = make_basic(v, wests, easts, *distinguished(v, star, toward), mode=mode)
+        pieces[v] = leaf(basic, mode)
+    for v in reversed(order[1:]):
+        p, child = parent[v], pieces.pop(v)
+        e = graph._edge_between(p, v)
+        b, c = pairs[e]
+        if e.tail == p:
+            pieces[p] = compose(pieces[p], Edge(p, b), child, Edge(c, v))
+        else:
+            pieces[p] = compose(child, Edge(v, b), pieces[p], Edge(c, p))
+    return pieces[root]
 
 
 # -- rewrite moves ---------------------------------------------------------

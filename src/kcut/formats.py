@@ -22,7 +22,6 @@ formats.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .compass import Compass
 from .construct import Construction, IdentityGraph, compose, leaf, make_basic
@@ -121,12 +120,14 @@ def serialize_graph(graph: OrientedGraph, compass: Compass | None = None) -> str
 # -- construction scripts --------------------------------------------------------
 
 
-@dataclass
 class _Script:
-    mode: str
-    definitions: dict[str, tuple[Construction, int]]
-    consumed: dict[str, int]
-    emitted: Construction | None
+    """The state of one script run: its mode, its names and what it emitted."""
+
+    def __init__(self) -> None:
+        self.mode = "K"
+        self.definitions: dict[str, tuple[Construction, int]] = {}
+        self.consumed: dict[str, int] = {}
+        self.emitted: Construction | None = None
 
 
 _CUT_RE = re.compile(r"cut\s*\(")
@@ -244,7 +245,7 @@ def _define(script: _Script, name: str, built: Construction, line: int) -> None:
 
 def run_script(text: str) -> Construction:
     """Execute a construction script and return the emitted construction."""
-    script = _Script(mode="K", definitions={}, consumed={}, emitted=None)
+    script = _Script()
     saw_statement = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -34,29 +34,32 @@ def max_enumeration_size() -> int:
     return value
 
 
-def _direction_adjacency(graph: OrientedGraph) -> dict[str, list[tuple[str, str]]]:
+def _rooted_codes(graph: OrientedGraph):
+    """The graph's direction-annotated adjacency, and `code(v, parent)`: the
+    code of the subtree at v seen from `parent` (None for the whole tree
+    rooted at v).  Codes are kept once computed, so the rootings at every
+    vertex together cost one code per vertex and per directed edge."""
     adj: dict[str, list[tuple[str, str]]] = {v: [] for v in graph.vertices}
     for e in graph.edges:
         adj[e.tail].append((e.head, ">"))
         adj[e.head].append((e.tail, "<"))
-    return adj
+    known: dict[tuple[str, str | None], str] = {}
 
+    def code(vertex: str, parent: str | None = None) -> str:
+        if (vertex, parent) not in known:
+            parts = sorted(bit + code(child, vertex) for child, bit in adj[vertex] if child != parent)
+            known[(vertex, parent)] = "(" + "".join(parts) + ")"
+        return known[(vertex, parent)]
 
-def _subtree_code(adj, vertex: str, parent: str | None) -> str:
-    parts = sorted(
-        bit + _subtree_code(adj, child, vertex)
-        for child, bit in adj[vertex]
-        if child != parent
-    )
-    return "(" + "".join(parts) + ")"
+    return adj, code
 
 
 def canonical_code(graph: OrientedGraph) -> str:
     """Isomorphism-invariant code of an oriented tree."""
     if not graph.is_tree:
         raise DomainError("canonical codes are defined for oriented trees")
-    adj = _direction_adjacency(graph)
-    return min(_subtree_code(adj, v, None) for v in graph.vertices)
+    _, code = _rooted_codes(graph)
+    return min(code(v) for v in graph.vertices)
 
 
 def _names() -> itertools.chain:
@@ -67,8 +70,8 @@ def _names() -> itertools.chain:
 def canonical_representative(graph: OrientedGraph) -> OrientedGraph:
     """The same oriented tree relabelled a, b, c, ... along a canonical
     traversal, identical for isomorphic inputs."""
-    adj = _direction_adjacency(graph)
-    root = min(graph.vertices, key=lambda v: _subtree_code(adj, v, None))
+    adj, code = _rooted_codes(graph)
+    root = min(graph.vertices, key=code)
     names = _names()
     mapping: dict[str, str] = {}
 
@@ -76,7 +79,7 @@ def canonical_representative(graph: OrientedGraph) -> OrientedGraph:
         mapping[vertex] = next(names)
         children = sorted(
             ((child, bit) for child, bit in adj[vertex] if child != parent),
-            key=lambda cb: (cb[1], _subtree_code(adj, cb[0], vertex), cb[0]),
+            key=lambda cb: (cb[1], code(cb[0], vertex), cb[0]),
         )
         for child, _ in children:
             visit(child, vertex)
@@ -93,14 +96,14 @@ def _enumerated(size: int) -> tuple[OrientedGraph, ...]:
     for smaller in _enumerated(size - 1):
         for v in smaller.vertices:
             for orient in ("out", "in"):
-                new_edge = ("zz", v) if orient == "in" else (v, "zz")
-                grown = OrientedGraph.of(
-                    smaller.vertices + ("zz",), smaller.edges + (Edge(*new_edge),)
-                )
-                code = canonical_code(grown)
-                if code not in seen:
-                    seen[code] = canonical_representative(grown)
-    return tuple(seen[code] for code in sorted(seen))
+                new_edge = Edge("zz", v) if orient == "in" else Edge(v, "zz")
+                # a tree grown by a fresh leaf is a tree: no re-validation
+                grown = OrientedGraph.unchecked(smaller.vertices + ("zz",), smaller.edges + (new_edge,))
+                _, code = _rooted_codes(grown)
+                key = min(map(code, grown.vertices))
+                if key not in seen:
+                    seen[key] = canonical_representative(grown)
+    return tuple(seen[key] for key in sorted(seen))
 
 
 def enumerate_oriented_trees(size: int):
@@ -116,10 +119,6 @@ def enumerate_oriented_trees(size: int):
             f"(override with {MAX_ENUM_ENV})"
         )
     yield from _enumerated(size)
-
-
-def count_oriented_trees(size: int) -> int:
-    return len(_enumerated(size)) if size <= max_enumeration_size() else 0
 
 
 # -- deterministic random constructions ---------------------------------------

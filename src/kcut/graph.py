@@ -10,7 +10,6 @@ deterministic.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -162,6 +161,13 @@ class OrientedGraph:
     # -- basic queries ----------------------------------------------------
 
     @cached_property
+    def memo(self) -> dict:
+        """Results that higher layers derive from this immutable graph and
+        keep with it, as `side_marks` is kept (`recognize` keeps its
+        verdicts here)."""
+        return {}
+
+    @cached_property
     def _edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 
@@ -227,14 +233,6 @@ class OrientedGraph:
         if has_in:
             return VertexClass.EAST
         return VertexClass.ISOLATED
-
-    @cached_property
-    def west_vertices(self) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if self.vertex_class(v) is VertexClass.WEST)
-
-    @cached_property
-    def east_vertices(self) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if self.vertex_class(v) is VertexClass.EAST)
 
     @cached_property
     def inner_vertices(self) -> tuple[str, ...]:
@@ -423,31 +421,6 @@ class OrientedGraph:
         if not self.is_tree:
             raise DomainError("graph must be weakly connected and asemicyclic")
 
-    # -- semipaths ---------------------------------------------------------
-
-    def unique_semipath(self, u: str, v: str) -> SemiPath:
-        """The one semipath joining `u` to `v` (the graph must be a tree)."""
-        self._require_tree()
-        self._require_vertex(u)
-        self._require_vertex(v)
-        if u == v:
-            return SemiPath((u,), ())
-        prev: dict[str, str] = {u: u}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            if x == v:
-                break
-            for y in self._adjacency[x]:
-                if y not in prev:
-                    prev[y] = x
-                    queue.append(y)
-        chain = [v]
-        while chain[-1] != u:
-            chain.append(prev[chain[-1]])
-        chain.reverse()
-        return SemiPath.through(self, chain)
-
     # -- derived graphs ----------------------------------------------------
 
     def rename(self, mapping: Mapping[str, str]) -> "OrientedGraph":
@@ -462,19 +435,3 @@ class OrientedGraph:
         isolated = [v for v in self.vertices if not self._in[v] and not self._out[v]]
         parts = [str(e) for e in self.edges] + isolated
         return "{" + ", ".join(parts) + "}"
-
-
-def split_at_inner_edge(
-    graph: OrientedGraph, e: Edge, b: str, c: str
-) -> tuple[OrientedGraph, OrientedGraph]:
-    """Cut the inner edge `e` = (a, d) of a tree back into two graphs: the
-    side of a with the fresh east vertex `b` on the new E-edge (a, b), and
-    the side of d with the fresh west vertex `c` on the new W-edge (c, d)."""
-    if not graph.contains_edge(e) or not graph.is_inner_edge(e):
-        raise DomainError(f"{e} is not an inner edge")
-    a, d = e
-    west_members, west_edges = graph.side(a, e)
-    east_members, east_edges = graph.side(d, e)
-    west = OrientedGraph.of(west_members + [b], west_edges + [Edge(a, b)])
-    east = OrientedGraph.of(east_members + [c], east_edges + [Edge(c, d)])
-    return west, east

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .compass import Compass
-from .construct import Construction, compose, fresh_secondary_names, leaf, make_basic
+from .construct import Construction, assemble
 from .errors import DomainError, GraphInvariantError
-from .graph import AWAY, TOWARD, Edge, OrientedGraph, SemiPath, split_at_inner_edge
+from .graph import AWAY, TOWARD, Edge, OrientedGraph, SemiPath
 
 KGRAPH = "kgraph"
 QGRAPH_ONLY = "qgraph-only"
@@ -228,15 +228,22 @@ def _build_decomposition(
 
 def is_kgraph(graph: OrientedGraph, extended: bool = False) -> Verdict:
     """Classify a graph, carrying the matching certificate: a Q-condition
-    failure, a transversal bifurcation, or the full decomposition."""
+    failure, a transversal bifurcation, or the full decomposition.  The
+    verdict on a Q-graph is kept on the graph, per `extended` flag, so
+    `decompose` and `synthesize_compass` do not classify it again."""
     failure = q_failure(graph, extended=extended)
     if failure is not None:
         return Verdict(NOT_QGRAPH, failure=failure)
-    t_edges = transversal_edges(graph, extended=extended)
-    bifurcation = _bifurcation_from(t_edges)
-    if bifurcation is not None:
-        return Verdict(QGRAPH_ONLY, bifurcation=bifurcation)
-    return Verdict(KGRAPH, decomposition=_build_decomposition(graph, t_edges))
+    key = ("is_kgraph", extended)
+    if key not in graph.memo:
+        t_edges = tuple(e for e in graph.edges if _is_transversal(graph, e))
+        bifurcation = _bifurcation_from(t_edges)
+        graph.memo[key] = (
+            Verdict(QGRAPH_ONLY, bifurcation=bifurcation)
+            if bifurcation is not None
+            else Verdict(KGRAPH, decomposition=_build_decomposition(graph, t_edges))
+        )
+    return graph.memo[key]
 
 
 def decompose(graph: OrientedGraph, extended: bool = False) -> Decomposition:
@@ -244,8 +251,6 @@ def decompose(graph: OrientedGraph, extended: bool = False) -> Decomposition:
     verdict = is_kgraph(graph, extended=extended)
     if verdict.kind != KGRAPH:
         raise DomainError(f"not a K-graph: {verdict}")
-    if verdict.decomposition is None:
-        raise GraphInvariantError(f"a K-graph verdict without a decomposition: {verdict}")
     return verdict.decomposition
 
 
@@ -258,20 +263,20 @@ def synthesize_compass(graph: OrientedGraph, extended: bool = False) -> Compass 
     eligible edge, or the two smallest where the degree forces N and S to
     differ.
     """
-    _require_qgraph(graph, extended=extended)
-    t_edges = transversal_edges(graph, extended=extended)
-    if _bifurcation_from(t_edges) is not None:
+    verdict = is_kgraph(graph, extended=extended)
+    if verdict.kind == NOT_QGRAPH:
+        raise DomainError(f"not a Q-graph: {verdict.failure.describe()}")
+    if verdict.kind == QGRAPH_ONLY:
         return None
     assignments: dict[tuple[str, str], Edge] = {}
-    if t_edges:
-        walk = _assemble_transversal(graph, t_edges).vertices
-        for a, b in zip(walk, walk[1:]):
-            if graph.has_edge(a, b):
-                assignments[(a, "SE")] = Edge(a, b)
-                assignments[(b, "NW")] = Edge(a, b)
-            else:
-                assignments[(a, "SW")] = Edge(b, a)
-                assignments[(b, "NE")] = Edge(b, a)
+    walk = verdict.decomposition.transversal.vertices
+    for a, b in zip(walk, walk[1:]):
+        if graph.has_edge(a, b):
+            assignments[(a, "SE")] = Edge(a, b)
+            assignments[(b, "NW")] = Edge(a, b)
+        else:
+            assignments[(a, "SW")] = Edge(b, a)
+            assignments[(b, "NE")] = Edge(b, a)
     for v in graph.inner_vertices:
         for x, edges in (("W", graph.in_edges(v)), ("E", graph.out_edges(v))):
             north = assignments.get((v, "N" + x))
@@ -295,9 +300,9 @@ def qgraph_construction(graph: OrientedGraph, d: Edge, x: str) -> Construction:
     """A mode-Q construction of the graph whose N and S distinguished edges
     on side `x` both equal `d`.
 
-    Splits at the smallest inner edge and steers the recursion so that the
-    side holding `d` keeps it distinguished while the other side distinguishes
-    its own piece of the cut.
+    The stars are assembled from the one holding `d`: that star
+    distinguishes `d`, every other star its edge toward it, and each takes
+    its first edge on the other side (`construct.assemble`).
     """
     _require_qgraph(graph)
     if x not in ("W", "E"):
@@ -308,40 +313,13 @@ def qgraph_construction(graph: OrientedGraph, d: Edge, x: str) -> Construction:
         raise DomainError(f"{d} is not a W-edge")
     if x == "E" and not graph.is_e_edge(d):
         raise DomainError(f"{d} is not an E-edge")
-    names = fresh_secondary_names(graph.vertices)
-    return _qgraph_construction(graph, d, x, names)
 
+    def steered(v: str, star: dict[Edge, Edge], toward: Edge | None) -> tuple[Edge, ...]:
+        target = toward or d
+        if target.head == v:
+            first = min(s for s in star.values() if s.tail == v)
+            return target, target, first, first
+        first = min(s for s in star.values() if s.head == v)
+        return first, first, target, target
 
-def _qgraph_construction(graph, d, x, names) -> Construction:
-    inner = graph.inner_edges
-    if not inner:
-        center = graph.inner_vertices[0]
-        wests = tuple(e.tail for e in graph.in_edges(center))
-        easts = tuple(e.head for e in graph.out_edges(center))
-        if x == "W":
-            nw = sw = d
-            ne = se = graph.out_edges(center)[0]
-        else:
-            ne = se = d
-            nw = sw = graph.in_edges(center)[0]
-        return leaf(make_basic(center, wests, easts, nw, sw, ne, se, mode="Q"), "Q")
-    e = inner[0]
-    b, c = next(names), next(names)
-    west_graph, east_graph = split_at_inner_edge(graph, e, b, c)
-    e_west = Edge(e.tail, b)
-    e_east = Edge(c, e.head)
-    if x == "W":
-        if west_graph.contains_edge(d):
-            g_west = _qgraph_construction(west_graph, d, "W", names)
-            g_east = _qgraph_construction(east_graph, e_east, "W", names)
-        else:
-            g_west = _qgraph_construction(west_graph, e_west, "E", names)
-            g_east = _qgraph_construction(east_graph, d, "W", names)
-    else:
-        if east_graph.contains_edge(d):
-            g_east = _qgraph_construction(east_graph, d, "E", names)
-            g_west = _qgraph_construction(west_graph, e_west, "E", names)
-        else:
-            g_east = _qgraph_construction(east_graph, e_east, "W", names)
-            g_west = _qgraph_construction(west_graph, d, "E", names)
-    return compose(g_west, e_west, g_east, e_east)
+    return assemble(graph, "Q", steered, root=d.head if x == "W" else d.tail)

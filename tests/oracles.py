@@ -9,8 +9,9 @@ the covering-path check of `compose_local` and the recovery of
 distinguished edges re-derived from every directed path), compass
 existence by enumerating all assignments, rewrite equivalence by
 breadth-first search over moves, cuts by copying and re-validating whole
-root graphs, cut-tree walks by recursion, and oriented-tree counts from
-labeled trees.  None of it shares algorithms with the production path it checks.
+root graphs, cut-tree walks by recursion, constructions from a compass (and
+mode-Q constructions) by splitting at the smallest inner edge and
+recursing, and oriented-tree counts from labeled trees.  None of it shares algorithms with the production path it checks.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from kcut import (
     is_yx_edge,
 )
 from kcut.compass import Compass, LocalCompassGraph
-from kcut.construct import cut_graph
+from kcut.construct import compose, cut_graph, fresh_secondary_names, leaf, make_basic
+from kcut.recognize import q_failure
 
 
 def semicycle_exists(graph: OrientedGraph) -> bool:
@@ -73,6 +75,20 @@ def all_semipaths(graph: OrientedGraph) -> list[SemiPath]:
     for v in graph.vertices:
         extend([v])
     return found
+
+
+def unique_semipath(graph: OrientedGraph, u: str, v: str) -> SemiPath:
+    """The one semipath joining `u` to `v` in a tree, read back from `v`
+    along the breadth-first parents of a walk from `u`."""
+    graph._require_tree()
+    for w in (u, v):
+        if not graph.has_vertex(w):
+            raise DomainError(f"unknown vertex {w!r}")
+    _, parent = graph._walk(u)
+    chain = [v]
+    while chain[-1] != u:
+        chain.append(parent[chain[-1]])
+    return SemiPath.through(graph, reversed(chain))
 
 
 def proper_semipaths(graph: OrientedGraph) -> list[SemiPath]:
@@ -355,6 +371,106 @@ def compose_by_copying(
     return root, tuple(yx.items())
 
 
+def split_at_inner_edge(
+    graph: OrientedGraph, e: Edge, b: str, c: str
+) -> tuple[OrientedGraph, OrientedGraph]:
+    """Cut the inner edge `e` = (a, d) of a tree back into two graphs: the
+    side of a with the fresh east vertex `b` on the new E-edge (a, b), and
+    the side of d with the fresh west vertex `c` on the new W-edge (c, d)."""
+    if not graph.contains_edge(e) or not graph.is_inner_edge(e):
+        raise DomainError(f"{e} is not an inner edge")
+    a, d = e
+    west_members, west_edges = graph.side(a, e)
+    east_members, east_edges = graph.side(d, e)
+    west = OrientedGraph.of(west_members + [b], west_edges + [Edge(a, b)])
+    east = OrientedGraph.of(east_members + [c], east_edges + [Edge(c, d)])
+    return west, east
+
+
+def construction_by_splitting(lcg: LocalCompassGraph, extended: bool = False) -> Construction:
+    """`construction_from_compass` as first written: split the carrier at
+    its smallest inner edge, rebuild both sides through the validating
+    `OrientedGraph.of`, restrict the compass to each, and recurse down to
+    the stars."""
+    verdict = is_local_compass_graph(lcg.graph, lcg.compass, extended=extended)
+    if not verdict.ok:
+        raise DomainError(f"not a local compass graph: {verdict.describe()}")
+    names = fresh_secondary_names(lcg.graph.vertices)
+
+    def build(graph: OrientedGraph, compass: Compass) -> Construction:
+        if not graph.inner_edges:
+            if not graph.inner_vertices:
+                edge = graph.edges[0]
+                return leaf(IdentityGraph(edge.tail, edge.head), "K")
+            center = graph.inner_vertices[0]
+            wests = tuple(e.tail for e in graph.in_edges(center))
+            easts = tuple(e.head for e in graph.out_edges(center))
+            slots = [compass.edge(center, slot) for slot in SLOTS]
+            return leaf(make_basic(center, wests, easts, *slots, mode="K"), "K")
+        e = graph.inner_edges[0]
+        b, c = next(names), next(names)
+        west_graph, east_graph = split_at_inner_edge(graph, e, b, c)
+        e_west, e_east = Edge(e.tail, b), Edge(c, e.head)
+
+        def restricted(side: OrientedGraph, stub: Edge) -> Compass:
+            keep = set(side.inner_vertices)
+            return Compass.of({(v, s): stub if x == e else x for v, s, x in compass.entries if v in keep})
+
+        return compose(
+            build(west_graph, restricted(west_graph, e_west)), e_west,
+            build(east_graph, restricted(east_graph, e_east)), e_east,
+        )
+
+    return build(lcg.graph, lcg.compass)
+
+
+def qgraph_construction_by_splitting(graph: OrientedGraph, d: Edge, x: str) -> Construction:
+    """`qgraph_construction` as first written: split at the smallest inner
+    edge and steer the recursion so that the side holding `d` keeps it
+    distinguished while the other side distinguishes its own stub."""
+    failure = q_failure(graph)
+    if failure is not None:
+        raise DomainError(f"not a Q-graph: {failure.describe()}")
+    if x not in ("W", "E"):
+        raise DomainError(f"X must be 'W' or 'E', got {x!r}")
+    if not graph.contains_edge(d):
+        raise DomainError(f"unknown edge {d}")
+    if x == "W" and not graph.is_w_edge(d):
+        raise DomainError(f"{d} is not a W-edge")
+    if x == "E" and not graph.is_e_edge(d):
+        raise DomainError(f"{d} is not an E-edge")
+    names = fresh_secondary_names(graph.vertices)
+
+    def build(graph: OrientedGraph, d: Edge, x: str) -> Construction:
+        if not graph.inner_edges:
+            center = graph.inner_vertices[0]
+            wests = tuple(e.tail for e in graph.in_edges(center))
+            easts = tuple(e.head for e in graph.out_edges(center))
+            if x == "W":
+                nw = sw = d
+                ne = se = graph.out_edges(center)[0]
+            else:
+                ne = se = d
+                nw = sw = graph.in_edges(center)[0]
+            return leaf(make_basic(center, wests, easts, nw, sw, ne, se, mode="Q"), "Q")
+        e = graph.inner_edges[0]
+        b, c = next(names), next(names)
+        west_graph, east_graph = split_at_inner_edge(graph, e, b, c)
+        e_west, e_east = Edge(e.tail, b), Edge(c, e.head)
+        if x == "W":
+            if west_graph.contains_edge(d):
+                g_west, g_east = build(west_graph, d, "W"), build(east_graph, e_east, "W")
+            else:
+                g_west, g_east = build(west_graph, e_west, "E"), build(east_graph, d, "W")
+        elif east_graph.contains_edge(d):
+            g_west, g_east = build(west_graph, e_west, "E"), build(east_graph, d, "E")
+        else:
+            g_west, g_east = build(west_graph, d, "E"), build(east_graph, e_east, "W")
+        return compose(g_west, e_west, g_east, e_east)
+
+    return build(graph, d, x)
+
+
 def leaves_by_recursion(c: Construction) -> list:
     if c.is_leaf:
         return [c.leaf_obj]
@@ -407,6 +523,21 @@ def rho_equivalent_by_search(g: Construction, h: Construction, max_states: int =
 
 
 # -- labeled oriented trees, for enumeration cross-checks --------------------
+
+
+def canonical_code_by_rootings(graph: OrientedGraph) -> str:
+    """The canonical code as first written: the least of the codes of the
+    tree rooted at each vertex, every subtree code recomputed."""
+
+    def subtree_code(vertex: str, parent: str | None) -> str:
+        parts = []
+        for e in graph.edges:
+            if vertex in e and parent not in e:
+                child, bit = (e.head, ">") if e.tail == vertex else (e.tail, "<")
+                parts.append(bit + subtree_code(child, vertex))
+        return "(" + "".join(sorted(parts)) + ")"
+
+    return min(subtree_code(v, None) for v in graph.vertices)
 
 
 def labeled_trees(n: int) -> list[list[tuple[int, int]]]:

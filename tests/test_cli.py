@@ -16,6 +16,13 @@ from kcut.compass import is_local_compass_graph
 from helpers import F1, F3, F4, F5, F6, F6_COMPASS
 
 
+def _python(*argv):
+    """Run a fresh interpreter that imports kcut from the tree under test."""
+    src = str(Path(kcut.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120)
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -212,10 +219,56 @@ def test_fixture_commands_behave_the_same_under_python_dash_o(tmp_path, capsys):
         ["gen", "--mode", "k", "--leaves", "3", "--seed", "9"],
         ["enumerate", "--max", "4", "--classify"],
     ]
-    src = str(Path(kcut.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     for argv in commands:
         code, out, _ = run(capsys, *argv)
-        proc = subprocess.run([sys.executable, "-O", "-m", "kcut.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = _python("-O", "-m", "kcut.cli", *argv)
         assert (proc.returncode, proc.stdout) == (code, out), argv
+
+
+# The CLI as a program prints the kcut modules it loaded on stderr.
+_LOADED = """
+import json, sys
+from kcut.cli import main
+code = main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("kcut"))), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_each_command_loads_only_the_modules_it_uses(tmp_path):
+    script = write(tmp_path, "s.kc", F2_SCRIPT)
+    f3 = write(tmp_path, "f3", serialize_graph(F3))
+    by_script = {"kcut.recognize", "kcut.bridge", "kcut.generate", "kcut.dot"}
+    cases = [
+        (["compose", script], by_script),
+        (["equiv", script, script], by_script),
+        (["check", f3], {"kcut.bridge", "kcut.generate", "kcut.dot"}),
+        (["compass", f3], {"kcut.bridge", "kcut.generate", "kcut.dot"}),
+        (["decompose", f3], {"kcut.bridge", "kcut.generate"}),
+    ]
+    for argv, absent in cases:
+        proc = _python("-c", _LOADED, *argv)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+        assert "kcut.errors" in loaded and not loaded & absent, argv
+
+
+def test_every_exported_name_loads_on_first_use():
+    proc = _python("-c", (
+        "import sys, kcut\n"
+        "assert [m for m in sys.modules if m.startswith('kcut.')] == []\n"
+        "for name in kcut.__all__:\n"
+        "    exec(f'from kcut import {name}')\n"
+        "print(len(kcut.__all__))\n"
+    ))
+    assert (proc.returncode, proc.stdout) == (0, "56\n"), proc.stderr
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        kcut.nothing
+
+
+def test_a_bad_enumeration_bound_fails_only_enumerate(capsys, monkeypatch):
+    monkeypatch.setenv("KCUT_MAX_ENUM", "nope")
+    code, out, _ = run(capsys, "gen", "--leaves", "2")
+    assert code == 0 and out.startswith("mode K\n")
+    code, out, err = run(capsys, "enumerate")
+    assert (code, out, err) == (1, "", "kcut: KCUT_MAX_ENUM must be an integer, got 'nope'\n")

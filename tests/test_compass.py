@@ -69,7 +69,7 @@ def test_single_vertex_paths_are_decent():
 
 def test_decency_rejects_semipaths_with_backward_steps():
     with pytest.raises(DomainError, match="not a path"):
-        is_y_decent(F6, F6_COMPASS, F6.unique_semipath("d", "b"), "N")
+        is_y_decent(F6, F6_COMPASS, oracles.unique_semipath(F6, "d", "b"), "N")
 
 
 def test_indecent_path_witness_finds_the_configuration():

@@ -90,3 +90,11 @@ def test_random_construction_is_deterministic_and_classified():
         q_built = random_construction(seed, 3, "Q")
         assert is_qgraph(q_built.root_graph)
         assert len(q_built.root_graph.edges) == len(q_built.root_graph.vertices) - 1
+
+
+def test_canonical_code_matches_the_code_of_every_rooting():
+    for size in range(1, 9):
+        for tree in enumerate_oriented_trees(size):
+            renamed = tree.rename({v: f"v{len(tree.vertices) - i}" for i, v in enumerate(tree.vertices)})
+            assert canonical_code(tree) == canonical_code(renamed) == oracles.canonical_code_by_rootings(renamed)
+            assert canonical_representative(renamed) == tree

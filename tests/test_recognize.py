@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 
 from kcut import (
     DomainError,
+    OrientedGraph,
     SemiPath,
     decompose,
     is_kgraph,
@@ -17,17 +20,19 @@ from kcut import (
     transversal_bifurcation_witness,
     transversal_edges,
 )
+from kcut.generate import enumerate_oriented_trees
 from kcut.recognize import KGRAPH, NOT_QGRAPH, QGRAPH_ONLY
 
 import oracles
 from helpers import F1, F2, F3, F4, F5, FIG_TRANSVERSAL, e, g
 from test_graph import small_trees
+from test_sides import _zigzag
 
 
 def test_proper_semipaths_need_a_direction_change():
-    assert not is_proper(F1.unique_semipath("w1", "e1"))
-    assert is_proper(F3.unique_semipath("r", "q"))
-    assert not is_proper(F1.unique_semipath("w1", "m"))
+    assert not is_proper(oracles.unique_semipath(F1, "w1", "e1"))
+    assert is_proper(oracles.unique_semipath(F3, "r", "q"))
+    assert not is_proper(oracles.unique_semipath(F1, "w1", "m"))
     assert not is_proper(SemiPath(("m",), ()))
 
 
@@ -252,3 +257,52 @@ def test_decomposition_invariants_raise_rather_than_assert():
         _assemble_transversal(F4, arms)
     with pytest.raises(GraphInvariantError, match="out-going tree at m via m>x3 is not oriented away"):
         _build_decomposition(F4, arms[:2])
+
+
+# -- one classification per graph object ---------------------------------------
+
+
+def _fresh(graph):
+    return OrientedGraph.of(graph.vertices, graph.edges)
+
+
+_CALLS = {"verdict": is_kgraph, "decomposition": decompose, "compass": synthesize_compass}
+
+
+def _result(graph, name, extended):
+    try:
+        return _CALLS[name](graph, extended=extended)
+    except DomainError as err:
+        return str(err)
+
+
+def test_kept_verdicts_give_what_a_fresh_graph_gives():
+    checked = 0
+    for size in range(1, 9):
+        for tree in enumerate_oriented_trees(size):
+            for extended in (False, True):
+                fresh = {name: _result(_fresh(tree), name, extended) for name in _CALLS}
+                for order in (list(_CALLS), list(reversed(_CALLS))):
+                    shared = _fresh(tree)
+                    assert {name: _result(shared, name, extended) for name in order} == fresh
+                # a verdict kept for the other flag does not answer for this one
+                shared = _fresh(tree)
+                _result(shared, "verdict", not extended)
+                assert {name: _result(shared, name, extended) for name in _CALLS} == fresh
+                checked += 1
+    assert checked == 2 * 1857
+
+
+def test_decompose_after_is_kgraph_reads_the_kept_verdict():
+    graph, _ = _zigzag(599)
+    assert len(graph.vertices) == 1200
+    verdict = is_kgraph(graph)
+    assert verdict.kind == KGRAPH
+    times = []
+    for _ in range(5):
+        began = time.perf_counter()
+        decomposition = decompose(graph)
+        times.append(time.perf_counter() - began)
+    assert decomposition is verdict.decomposition
+    assert min(times) < 1e-3
+    assert synthesize_compass(graph) == synthesize_compass(_fresh(graph))
