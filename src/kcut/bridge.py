@@ -2,10 +2,11 @@
 
 `lambda_of` reads a compass off a construction: each basic leaf stamps its
 distinguished edges onto its center, and every cut redirects values equal to
-a consumed edge onto the new edge.  `construction_from_compass` inverts it
-without splitting anything: every inner vertex becomes a star whose
-distinguished edges are its compass values, each inner edge becomes a fresh
-pair of stubs, and one breadth-first walk cuts the stars back together
+a consumed edge onto the new edge; `construct.same_compass_graph` decides
+equivalence up to rho and sigma by this compass.  `construction_from_compass`
+inverts it without splitting anything: every inner vertex becomes a star
+whose distinguished edges are its compass values, each inner edge becomes a
+fresh pair of stubs, and one breadth-first walk cuts the stars back together
 along the inner edges, children into parents, in O(n log n) and without
 recursion (`construct.assemble`).  In the extended setting a single edge
 becomes an identity leaf.  The distinguished edges of a construction can
@@ -17,7 +18,7 @@ over the tree; no path is built.
 from __future__ import annotations
 
 from .compass import Compass, LocalCompassGraph, is_local_compass_graph, reach_marks
-from .construct import BasicKGraph, Construction, assemble
+from .construct import Construction, _compass_entries, assemble
 from .errors import DomainError
 from .graph import SLOTS, Edge, OrientedGraph, SemiPath
 
@@ -28,30 +29,6 @@ def lambda_of(g: Construction) -> LocalCompassGraph:
     if g.mode != "K":
         raise DomainError("only mode-K constructions carry a compass")
     return LocalCompassGraph(g.root_graph, Compass.of(_compass_entries(g)))
-
-
-def _compass_entries(g: Construction) -> dict[tuple[str, str], Edge]:
-    """One walk down the cut-tree carrying, for each edge an enclosing cut
-    consumes, the edge it finally becomes in g's root graph.  The nearest
-    enclosing cut that consumes a name consumes that edge (a subtree's root
-    edges have distinct names); a cut's entries are undone on leaving it."""
-    entries: dict[tuple[str, str], Edge] = {}
-    fate: dict[Edge, Edge] = {}  # an edge missing here stays itself
-    stack: list = [g]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, dict):
-            fate.update(node)
-        elif isinstance(node.leaf_obj, BasicKGraph):
-            obj = node.leaf_obj
-            for slot, edge in obj.distinguished.items():
-                entries[(obj.center, slot)] = fate.get(edge, edge)
-        elif node.leaf_obj is None:
-            west, e_west, east, e_east = node.operands
-            new_edge = node.cut_edge
-            stack += ({e: fate.get(e, e) for e in (e_west, e_east)}, east, west)
-            fate[e_west] = fate[e_east] = fate.get(new_edge, new_edge)
-    return entries
 
 
 def is_yx_edge(graph: OrientedGraph, compass: Compass, e: Edge, y: str, x: str) -> bool:

@@ -3,14 +3,16 @@
 Verdicts are printed as one JSON object per line with sorted keys, so the
 output is schema-stable.  Exit codes: 0 for a K-graph or plain success, 2
 for a Q-graph that is not a K-graph, 3 for a graph that is not a Q-graph,
-and 1 for usage, parse or validation errors.  Each command imports the
-modules it uses when it runs, so start-up loads no other.
+and 1 for usage, parse or validation errors; a reader that closes stdout
+early ends the command with 0 and nothing on stderr.  Each command imports
+the modules it uses when it runs, so start-up loads no other.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -75,6 +77,13 @@ def _read(path: str) -> str:
         raise KcutError(f"{path}: not UTF-8 text (byte {err.start})") from None
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except BrokenPipeError as err:  # only stdout's reader may leave early
+        raise KcutError(str(err)) from None
+
+
 def _cmd_check(args) -> int:
     from .formats import parse_graph
     from .recognize import is_kgraph
@@ -93,7 +102,7 @@ def _cmd_decompose(args) -> int:
     if code == EXIT_OK and args.dot:
         from .dot import export_dot
 
-        Path(args.dot).write_text(export_dot(graph, verdict.decomposition))
+        _write_file(args.dot, export_dot(graph, verdict.decomposition))
     return code
 
 
@@ -109,7 +118,7 @@ def _cmd_compose(args) -> int:
     }
     _emit(payload)
     if args.graph_out:
-        Path(args.graph_out).write_text(serialize_graph(built.root_graph))
+        _write_file(args.graph_out, serialize_graph(built.root_graph))
     return EXIT_OK
 
 
@@ -223,10 +232,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a reader that left early shows here, not at exit
+        return code
     except KcutError as err:
         print(f"kcut: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:  # stdout's reader left early (`kcut enumerate | head -1`)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # for the flush at exit
+        os.close(devnull)
+        return EXIT_OK
     except OSError as err:
         print(f"kcut: {err}", file=sys.stderr)
         return EXIT_USAGE

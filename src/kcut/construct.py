@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .errors import CompositionError, DomainError, GraphInvariantError, RewriteError, ValidationError
-from .graph import SLOTS, Edge, OrientedGraph
+from .graph import SLOTS, Edge, OrientedGraph, _check_token
 
 MODES = ("K", "Q")
 
@@ -56,9 +56,9 @@ class BasicKGraph:
 
     @cached_property
     def graph(self) -> OrientedGraph:
-        edges = [(w, self.center) for w in self.west]
-        edges += [(self.center, e) for e in self.east]
-        return OrientedGraph.of((self.center,) + self.west + self.east, edges)
+        edges = [Edge(w, self.center) for w in self.west]
+        edges += [Edge(self.center, e) for e in self.east]
+        return OrientedGraph.unchecked((self.center,) + self.west + self.east, edges)
 
     @property
     def distinguished(self) -> dict[str, Edge]:
@@ -150,7 +150,8 @@ def make_basic(
     basic = BasicKGraph(center, west, east, nw, sw, ne, se)
     if mode == "K":
         _check_branching_sides(basic)
-    basic.graph  # force invariant checks
+    for name in sorted(names):  # as `OrientedGraph.of` would; the star needs no other check
+        _check_token(name)
     return basic
 
 
@@ -651,6 +652,42 @@ def rho_equivalent(g: Construction, h: Construction) -> bool:
     return Counter(g2.basic_leaves()) == Counter(h2.basic_leaves())
 
 
+def _compass_entries(g: Construction) -> dict[tuple[str, str], Edge]:
+    """The compass of `bridge.lambda_of`, from one walk down the cut-tree
+    carrying, for each edge an enclosing cut consumes, the edge it finally
+    becomes in g's root graph.  The nearest enclosing cut that consumes a
+    name consumes that edge (a subtree's root edges have distinct names); a
+    cut's entries are undone on leaving it."""
+    entries: dict[tuple[str, str], Edge] = {}
+    fate: dict[Edge, Edge] = {}  # an edge missing here stays itself
+    stack: list = [g]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            fate.update(node)
+        elif isinstance(node.leaf_obj, BasicKGraph):
+            obj = node.leaf_obj
+            for slot, edge in obj.distinguished.items():
+                entries[(obj.center, slot)] = fate.get(edge, edge)
+        elif node.leaf_obj is None:
+            west, e_west, east, e_east = node.operands
+            new_edge = node.cut_edge
+            stack += ({e: fate.get(e, e) for e in (e_west, e_east)}, east, west)
+            fate[e_west] = fate[e_east] = fate.get(new_edge, new_edge)
+    return entries
+
+
+def same_compass_graph(g: Construction, h: Construction) -> bool:
+    """Are two constructions the same up to rewriting and renaming of
+    secondary vertices?  Exactly when, without their identity leaves, their
+    root graphs and compasses (lambda) agree: these classes correspond to
+    local compass graphs.  One linear walk of each cut-tree decides it."""
+    if g.mode != "K" or h.mode != "K":
+        raise DomainError("rho-equivalence is defined for mode-K constructions")
+    g2, h2 = eliminate_identities(g), eliminate_identities(h)
+    return g2.root_graph == h2.root_graph and _compass_entries(g2) == _compass_entries(h2)
+
+
 # -- canonical renaming of secondary vertices --------------------------------
 
 
@@ -699,7 +736,9 @@ def sigma_canonical(g: Construction) -> Construction:
     same root graph and leaves (distinguished-edge roles and the cut edges
     left in the root graph), so constructions that differ only in the choice
     of secondary vertices canonicalize identically, and rewrite-equivalent
-    constructions keep equal leaf multisets after canonicalization.
+    constructions keep equal leaf multisets after canonicalization.  Not
+    conversely: numbering NW and SW endpoints first can give inequivalent
+    constructions (NW and SW swapped on a star) the same leaf multiset.
     """
     secondary = g.secondary_vertices()
     if not secondary:
@@ -721,19 +760,6 @@ def sigma_canonical(g: Construction) -> Construction:
         for v in _leaf_secondary_order(obj, secondary, pairing):
             mapping[v] = f"{SECONDARY_PREFIX}{next(counter)}"
     return rename_construction(g, mapping)
-
-
-def same_compass_graph(g: Construction, h: Construction) -> bool:
-    """Do two constructions denote the same object up to rewriting and
-    renaming of secondary vertices?
-
-    Identity leaves are removed before canonicalization: cutting against an
-    identity demotes a root vertex to secondary, and renaming it first would
-    leave the unit laws undecidable by the leaf-multiset criterion.
-    """
-    g2 = sigma_canonical(eliminate_identities(g))
-    h2 = sigma_canonical(eliminate_identities(h))
-    return rho_equivalent(g2, h2)
 
 
 # -- splitting a construction at an inner edge -------------------------------

@@ -8,7 +8,9 @@ decency by pairwise forward reachability (with the indecent-path witness,
 the covering-path check of `compose_local` and the recovery of
 distinguished edges re-derived from every directed path), compass
 existence by enumerating all assignments, rewrite equivalence by
-breadth-first search over moves, cuts by copying and re-validating whole
+breadth-first search over moves, equivalence up to rho and sigma by
+canonical renaming and leaf multisets, star graphs of basic leaves by the
+validating graph constructor, cuts by copying and re-validating whole
 root graphs, cut-tree walks by recursion, constructions from a compass (and
 mode-Q constructions) by splitting at the smallest inner edge and
 recursing, and oriented-tree counts from labeled trees.  None of it shares algorithms with the production path it checks.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
+from unittest import mock
 
 from kcut import (
     SLOTS,
@@ -33,9 +36,13 @@ from kcut import (
     SemiPath,
     applicable_rho_moves,
     apply_rho_move,
+    eliminate_identities,
     is_local_compass_graph,
     is_yx_edge,
+    rho_equivalent,
+    sigma_canonical,
 )
+from kcut import construct
 from kcut.compass import Compass, LocalCompassGraph
 from kcut.construct import compose, cut_graph, fresh_secondary_names, leaf, make_basic
 from kcut.recognize import q_failure
@@ -500,6 +507,26 @@ def compass_entries_by_recursion(c: Construction) -> dict:
         for key, value in compass_entries_by_recursion(child).items():
             entries[key] = c.cut_edge if value in (c.cut_west, c.cut_east) else value
     return entries
+
+
+def same_compass_graph_by_sigma_rho(g: Construction, h: Construction) -> bool:
+    """Equivalence up to rho and sigma as it was first decided: remove
+    identity leaves, rename secondary vertices canonically, then compare
+    root graphs and multisets of basic leaves.  It never misses an
+    equivalent pair, but its NW/SW-first numbering can give two
+    inequivalent constructions the same leaves, so it may say True wrongly."""
+    return rho_equivalent(sigma_canonical(eliminate_identities(g)), sigma_canonical(eliminate_identities(h)))
+
+
+def make_basic_through_of(center, west, east, nw, sw, ne, se, mode="K") -> OrientedGraph:
+    """The star graph of a basic leaf as `make_basic` gave it before it
+    checked tokens itself: every other check of `make_basic` first, then
+    the whole star re-validated by `OrientedGraph.of`; returns that graph
+    or raises the first error."""
+    with mock.patch.object(construct, "_check_token", lambda name: None):
+        make_basic(center, west, east, nw, sw, ne, se, mode=mode)
+    edges = [(w, center) for w in west] + [(center, x) for x in east]
+    return OrientedGraph.of([center, *west, *east], edges)
 
 
 def rho_equivalent_by_search(g: Construction, h: Construction, max_states: int = 20000) -> bool:

@@ -272,3 +272,50 @@ def test_a_bad_enumeration_bound_fails_only_enumerate(capsys, monkeypatch):
     assert code == 0 and out.startswith("mode K\n")
     code, out, err = run(capsys, "enumerate")
     assert (code, out, err) == (1, "", "kcut: KCUT_MAX_ENUM must be an integer, got 'nope'\n")
+
+
+def test_equiv_tells_apart_a_swap_of_nw_and_sw(tmp_path, capsys):
+    from test_equivalence import SWAP_SCRIPT, SWAPPED_SCRIPT
+
+    one, two = write(tmp_path, "one.kc", SWAP_SCRIPT), write(tmp_path, "two.kc", SWAPPED_SCRIPT)
+    assert run(capsys, "equiv", one, two) == (0, '{"equivalent": false}\n', "")
+    assert run(capsys, "equiv", one, one) == (0, '{"equivalent": true}\n', "")
+
+
+def test_equiv_on_a_mode_q_script_gives_one_line_and_exit_one(tmp_path, capsys):
+    from test_equivalence import SWAP_SCRIPT
+
+    q_script = write(tmp_path, "q.kc", "mode Q\n" + SWAP_SCRIPT)
+    k_script = write(tmp_path, "k.kc", SWAP_SCRIPT)
+    for argv in ((q_script, k_script), (k_script, q_script)):
+        code, out, err = run(capsys, "equiv", *argv)
+        assert (code, out, err) == (1, "", "kcut: rho-equivalence is defined for mode-K constructions\n")
+
+
+def test_a_reader_that_closes_stdout_early_is_not_an_error():
+    """The output (about 250 kB) outgrows the pipe, so the writer is still
+    writing when the reader leaves after one line."""
+    src = str(Path(kcut.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kcut.cli", "enumerate", "--max", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert json.loads(proc.stdout.readline())["id"] == 0
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (0, b"")
+
+
+def test_a_broken_pipe_on_an_output_file_is_still_an_error(tmp_path, capsys, monkeypatch):
+    """Only stdout's reader may leave early: a file output cut short by a
+    broken pipe keeps exit 1 and its one line."""
+    f3, script = write(tmp_path, "f3", serialize_graph(F3)), write(tmp_path, "f2.kc", F2_SCRIPT)
+
+    def broken(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(Path, "write_text", broken)
+    for argv in (["decompose", f3, "--dot", "out.dot"], ["compose", script, "--graph-out", "out.txt"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "kcut: [Errno 32] Broken pipe\n")

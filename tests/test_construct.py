@@ -6,7 +6,9 @@ from kcut import (
     CompositionError,
     DomainError,
     Edge,
+    GraphInvariantError,
     IdentityGraph,
+    KcutError,
     RewriteError,
     ValidationError,
     apply_rho_move,
@@ -21,7 +23,9 @@ from kcut import (
     same_compass_graph,
     sigma_canonical,
 )
+from kcut.generate import enumerate_oriented_trees
 
+import oracles
 from helpers import F1, F2, e, g
 
 
@@ -81,6 +85,61 @@ def test_make_basic_rejects_duplicates_and_misplaced_edges():
         make_basic("m", ("w1", "w1"), ("e1",), e("w1>m"), e("w1>m"), e("m>e1"), e("m>e1"))
     with pytest.raises(ValidationError, match="NW"):
         make_basic("m", ("w1",), ("e1",), e("m>e1"), e("w1>m"), e("m>e1"), e("m>e1"))
+
+
+def _star_outcome(build):
+    """The vertices and edges (with the types of the edges) of a star graph,
+    or the type and text of the error building it raised."""
+    try:
+        graph = build()
+    except KcutError as err:
+        return type(err), str(err)
+    return graph.vertices, graph.edges, {type(edge) for edge in graph.edges}
+
+
+def _same_as_through_of(center, west, east, *edges, mode="K"):
+    built = _star_outcome(lambda: make_basic(center, west, east, *edges, mode=mode).graph)
+    assert built == _star_outcome(lambda: oracles.make_basic_through_of(center, west, east, *edges, mode=mode))
+    return built
+
+
+def test_make_basic_builds_every_star_as_the_validating_constructor_does():
+    checked = 0
+    for size in range(3, 9):
+        for graph in enumerate_oriented_trees(size):
+            for v in graph.inner_vertices:
+                ins, outs = graph.in_edges(v), graph.out_edges(v)
+                west, east = [x.tail for x in ins], [x.head for x in outs]
+                for mode in ("K", "Q"):
+                    built = _same_as_through_of(v, west, east, ins[0], ins[-1], outs[0], outs[-1], mode=mode)
+                    assert built[0] == tuple(sorted([v, *west, *east]))
+                    checked += 1
+    assert checked == 8172  # 4086 stars, in both modes
+
+
+MAKE_BASIC_ERRORS = [
+    # (center, west, east, NW, SW, NE, SE, mode), each failing
+    ("m", ("w1", "w2"), ("e1",), "w1>m", "w1>m", "m>e1", "m>e1", "K"),  # equal west choices
+    ("m", ("w1", "w1"), ("e1",), "w1>m", "w1>m", "m>e1", "m>e1", "K"),  # duplicate names
+    ("m", ("w1",), ("e1",), "m>e1", "w1>m", "m>e1", "m>e1", "K"),  # NW not a W-edge
+    ("m", ("w1",), ("e1",), "w1>m", "w1>m", "m>e1", "w1>m", "K"),  # SE not an E-edge
+    ("m", (), ("e1",), "w1>m", "w1>m", "m>e1", "m>e1", "K"),  # no west side
+    ("m", ("w1",), ("e1",), "w1>m", "w1>m", "m>e1", "m>e1", "X"),  # no such mode
+    ("m!", ("w1",), ("e1",), "w1>m!", "w1>m!", "m!>e1", "m!>e1", "K"),  # bad center
+    ("m", ("w1", ""), ("e1",), "w1>m", ">m", "m>e1", "m>e1", "Q"),  # empty name
+    ("m", ("z!", "a-b"), ("e1",), "z!>m", "a-b>m", "m>e1", "m>e1", "K"),  # two bad names
+    ("m?", ("w1",), ("b!",), "w1>m?", "w1>m?", "m?>b!", "m?>b!", "K"),  # the first in sorted order
+    ("m", ("#",), ("e1",), "#>m", "#>m", "m>e1", "m>e1", "Q"),  # a bare reserved prefix
+    ("m!", ("w1", "w2"), ("e1",), "w1>m!", "w1>m!", "m!>e1", "m!>e1", "K"),  # branching before tokens
+    ("m!", ("w1",), ("e1",), "e1>m!", "w1>m!", "m!>e1", "m!>e1", "K"),  # misplaced NW before tokens
+]
+
+
+@pytest.mark.parametrize("case", MAKE_BASIC_ERRORS, ids=range(len(MAKE_BASIC_ERRORS)))
+def test_make_basic_fails_as_the_validating_constructor_does(case):
+    center, west, east, *edges, mode = case
+    outcome = _same_as_through_of(center, west, east, *(Edge(*x.split(">")) for x in edges), mode=mode)
+    assert outcome[0] in (DomainError, GraphInvariantError, ValidationError)
 
 
 # -- the cut operation --------------------------------------------------------
