@@ -17,7 +17,7 @@ over the tree; no path is built.
 
 from __future__ import annotations
 
-from .compass import Compass, LocalCompassGraph, is_local_compass_graph, reach_marks
+from .compass import Compass, LocalCompassGraph, reach_marks
 from .construct import Construction, _compass_entries, assemble
 from .errors import DomainError
 from .graph import SLOTS, Edge, OrientedGraph, SemiPath
@@ -73,8 +73,6 @@ def construction_from_compass(lcg: LocalCompassGraph, extended: bool = False) ->
     """A construction whose compass is exactly `lcg`: the star of every
     inner vertex reads its distinguished edges off the compass, and the
     stars are cut back together along the inner edges (`assemble`)."""
-    verdict = is_local_compass_graph(lcg.graph, lcg.compass, extended=extended)
-    if not verdict.ok:
-        raise DomainError(f"not a local compass graph: {verdict.describe()}")
+    LocalCompassGraph.checked(lcg.graph, lcg.compass, extended=extended)
     compass = lcg.compass
     return assemble(lcg.graph, "K", lambda v, star, toward: [star[compass.edge(v, s)] for s in SLOTS])

@@ -84,14 +84,6 @@ def _write_file(path: str, text: str) -> None:
         raise KcutError(str(err)) from None
 
 
-def _cmd_check(args) -> int:
-    from .formats import parse_graph
-    from .recognize import is_kgraph
-
-    graph, _ = parse_graph(_read(args.file))
-    return _report(graph, is_kgraph(graph))
-
-
 def _cmd_decompose(args) -> int:
     from .formats import parse_graph
     from .recognize import is_kgraph
@@ -193,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="classify a graph file")
     check.add_argument("file")
-    check.set_defaults(handler=_cmd_check)
+    check.set_defaults(handler=_cmd_decompose, dot=None)
 
     decompose = sub.add_parser("decompose", help="decompose a K-graph file")
     decompose.add_argument("file")

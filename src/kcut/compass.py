@@ -248,6 +248,45 @@ def indecent_path_witness(graph: OrientedGraph, compass: Compass) -> tuple[SemiP
     return _first_indecent(graph, *_indecency_marks(graph, compass))
 
 
+_REASONS = {
+    1: "not weakly connected",
+    2: "has a semicycle",
+    3: "not W-E-functional with an inner vertex",
+    4: "does not separate N from S",
+    5: "has an indecent path",
+}
+
+
+@dataclass(frozen=True)
+class QFailure:
+    """First failing Q-condition (1 connectivity, 2 asemicyclicity,
+    3 W-E-functionality with an inner vertex) and its witness."""
+
+    condition: int
+    witness: object
+
+    def describe(self) -> str:
+        return f"condition ({self.condition}) fails: {_REASONS[self.condition]} ({self.witness})"
+
+
+def q_failure(graph: OrientedGraph, extended: bool = False) -> QFailure | None:
+    """The first of conditions (1)-(3) the graph fails, shared by recognition
+    and the local check.  With `extended`, an identity-shaped graph (an edge,
+    no inner vertex) passes condition (3)."""
+    if not graph.is_weakly_connected:
+        return QFailure(1, graph.component_witness())
+    if not graph.is_asemicyclic:
+        return QFailure(2, graph.semicycle_witness())
+    if not graph.is_we_functional:
+        return QFailure(3, graph.nonfunctional_witness())
+    if extended:
+        if not graph.edges:
+            return QFailure(3, "no edge")
+    elif not graph.inner_vertices:
+        return QFailure(3, "no inner vertex")
+    return None
+
+
 @dataclass(frozen=True)
 class LocalCheck:
     """Outcome of the five-condition check, with the first failure."""
@@ -262,34 +301,15 @@ class LocalCheck:
     def describe(self) -> str:
         if self.ok:
             return "local compass graph"
-        reasons = {
-            1: "not weakly connected",
-            2: "has a semicycle",
-            3: "not W-E-functional with an inner vertex",
-            4: "does not separate N from S",
-            5: "has an indecent path",
-        }
-        return f"condition ({self.condition}) fails: {reasons[self.condition]} ({self.witness})"
+        return QFailure(self.condition, self.witness).describe()  # the same words for (4), (5)
 
 
 def is_local_compass_graph(graph: OrientedGraph, compass: Compass, extended: bool = False) -> LocalCheck:
     """Check the five defining conditions in order, reporting the first
-    failure with a witness.  With `extended`, an identity-shaped graph (an
-    edge, no inner vertex) is admitted under condition (3)."""
-    components = graph.component_witness()
-    if components is not None:
-        return LocalCheck(False, 1, components)
-    semicycle = graph.semicycle_witness()
-    if semicycle is not None:
-        return LocalCheck(False, 2, semicycle)
-    nonfunctional = graph.nonfunctional_witness()
-    if nonfunctional is not None:
-        return LocalCheck(False, 3, nonfunctional)
-    if extended:
-        if not graph.edges:
-            return LocalCheck(False, 3, "no edge")
-    elif not graph.inner_vertices:
-        return LocalCheck(False, 3, "no inner vertex")
+    failure with a witness (`q_failure` decides the first three)."""
+    failure = q_failure(graph, extended=extended)
+    if failure is not None:
+        return LocalCheck(False, failure.condition, failure.witness)
     shape = compass_shape_problems(graph, compass)
     if shape:
         return LocalCheck(False, 4, "; ".join(shape))

@@ -1,13 +1,13 @@
 """Constructions: binary cut-trees over basic and identity leaves.
 
-A construction records, at every node, an oriented graph together with four
-distinguished edges NW/SW/NE/SE.  Composing two constructions cuts a
-functional E-edge of the west operand against a functional W-edge of the
-east operand, splices the graphs along a fresh edge, and propagates the
-distinguished edges.  Mode "K" enforces the two side conditions that make
-the result planar-cut shaped (distinct distinguished edges on branching
-sides of a leaf; every cut edge distinguished for both N and S); mode "Q"
-drops them.
+A construction records, at every node, four distinguished edges NW/SW/NE/SE;
+only its leaves hold graphs, and a node's root graph is built when read.
+Composing two constructions cuts a functional E-edge of the west operand
+against a functional W-edge of the east operand, joins the graphs along a
+fresh edge, and propagates the distinguished edges.  Mode "K" enforces the
+two side conditions that make the result planar-cut shaped (distinct
+distinguished edges on branching sides of a leaf; every cut edge
+distinguished for both N and S); mode "Q" drops them.
 """
 
 from __future__ import annotations
@@ -567,19 +567,20 @@ def apply_rho_move(g: Construction, site: str, move: str, direction: str = "L2R"
     if direction not in ("L2R", "R2L"):
         raise RewriteError(f"direction must be 'L2R' or 'R2L', got {direction!r}")
 
-    def rebuild(node: Construction, rest: str) -> Construction:
-        if not rest:
-            return _rewrite_node(node, move, direction)
+    path = []  # down to the site: each node passed and the step taken
+    node = g
+    for step in site:
         if node.is_leaf:
             raise RewriteError(f"no node at address {site!r}")
-        west, e_west, east, e_east = node.operands
-        if rest[0] == "L":
-            return compose(rebuild(west, rest[1:]), e_west, east, e_east)
-        if rest[0] == "R":
-            return compose(west, e_west, rebuild(east, rest[1:]), e_east)
-        raise RewriteError(f"bad address character {rest[0]!r} in {site!r}")
-
-    return rebuild(g, site)
+        if step not in ("L", "R"):
+            raise RewriteError(f"bad address character {step!r} in {site!r}")
+        path.append((node, step))
+        node = node.left if step == "L" else node.right
+    node = _rewrite_node(node, move, direction)
+    for parent, step in reversed(path):  # ... and back up, recomposing
+        west, e_west, east, e_east = parent.operands
+        node = compose(node, e_west, east, e_east) if step == "L" else compose(west, e_west, node, e_east)
+    return node
 
 
 def applicable_rho_moves(g: Construction) -> list[tuple[str, str, str]]:
@@ -599,14 +600,14 @@ def applicable_rho_moves(g: Construction) -> list[tuple[str, str, str]]:
 # -- identity elimination and the two equivalences ---------------------------
 
 
-def _eliminate_identities(c: Construction) -> tuple[Construction, dict[str, str]]:
-    """Remove identity leaves by the unit laws.
+def eliminate_identities(c: Construction) -> Construction:
+    """The construction with all identity leaves removed by the unit laws.
 
-    Returns the reduced construction together with the renaming that
-    carries the original root graph onto the reduced one (cutting against
-    an identity only renames one boundary vertex; vertices it leaves out
-    keep their names).  A subtree without identity leaves comes back as it
-    is.  Each renaming has one owner, so the cuts update them in place.
+    Cutting against an identity only renames one boundary vertex, so each
+    reduced subtree comes with the renaming that carries its original root
+    graph onto the reduced one (vertices it leaves out keep their names).  A
+    subtree without identity leaves comes back as it is.  Each renaming has
+    one owner, so the cuts update them in place.
     """
     is_identity = lambda x: isinstance(x.leaf_obj, IdentityGraph)
 
@@ -630,12 +631,15 @@ def _eliminate_identities(c: Construction) -> tuple[Construction, dict[str, str]
         big.update(small)
         return compose(west, e_west, east, e_east), big
 
-    return _fold(c, lambda node: (node, {}), on_cut)
+    return _fold(c, lambda node: (node, {}), on_cut)[0]
 
 
-def eliminate_identities(c: Construction) -> Construction:
-    """The construction with all identity leaves removed by the unit laws."""
-    return _eliminate_identities(c)[0]
+def _reduced_pair(g: Construction, h: Construction) -> tuple[Construction, Construction]:
+    """Both constructions without their identity leaves; the equivalences
+    are defined for mode K only."""
+    if g.mode != "K" or h.mode != "K":
+        raise DomainError("rho-equivalence is defined for mode-K constructions")
+    return eliminate_identities(g), eliminate_identities(h)
 
 
 def rho_equivalent(g: Construction, h: Construction) -> bool:
@@ -643,10 +647,7 @@ def rho_equivalent(g: Construction, h: Construction) -> bool:
     graphs and equal multisets of basic leaves.  Identity leaves are removed
     by the unit laws first, which also makes a construction equivalent to
     itself cut against an identity."""
-    if g.mode != "K" or h.mode != "K":
-        raise DomainError("rho-equivalence is defined for mode-K constructions")
-    g2, _ = _eliminate_identities(g)
-    h2, _ = _eliminate_identities(h)
+    g2, h2 = _reduced_pair(g, h)
     if g2.root_graph != h2.root_graph:
         return False
     return Counter(g2.basic_leaves()) == Counter(h2.basic_leaves())
@@ -682,9 +683,7 @@ def same_compass_graph(g: Construction, h: Construction) -> bool:
     secondary vertices?  Exactly when, without their identity leaves, their
     root graphs and compasses (lambda) agree: these classes correspond to
     local compass graphs.  One linear walk of each cut-tree decides it."""
-    if g.mode != "K" or h.mode != "K":
-        raise DomainError("rho-equivalence is defined for mode-K constructions")
-    g2, h2 = eliminate_identities(g), eliminate_identities(h)
+    g2, h2 = _reduced_pair(g, h)
     return g2.root_graph == h2.root_graph and _compass_entries(g2) == _compass_entries(h2)
 
 
@@ -692,28 +691,16 @@ def same_compass_graph(g: Construction, h: Construction) -> bool:
 
 
 def _leaf_secondary_order(obj: Leaf, secondary: set[str], pairing: dict[str, Edge]) -> list[str]:
-    """A leaf's secondary vertices in a name-independent order: distinguished
-    endpoints first, the rest by the cut edge that consumed them."""
+    """A leaf's secondary vertices in a name-independent order, W side then E
+    side: on each, distinguished endpoints first, the rest by the cut edge
+    that consumed them."""
+    yx = obj.distinguished
+    sides = (obj.west, obj.east) if isinstance(obj, BasicKGraph) else ((), ())
     out: list[str] = []
-
-    def push(v: str) -> None:
-        if v in secondary and v not in out:
-            out.append(v)
-
-    if isinstance(obj, IdentityGraph):
-        push(obj.west)
-        push(obj.east)
-        return out
-    push(obj.nw.tail)
-    push(obj.sw.tail)
-    for v in sorted((v for v in obj.west if v in secondary and v not in out),
-                    key=lambda v: pairing[v]):
-        out.append(v)
-    push(obj.ne.head)
-    push(obj.se.head)
-    for v in sorted((v for v in obj.east if v in secondary and v not in out),
-                    key=lambda v: pairing[v]):
-        out.append(v)
+    for x, end in (("W", 0), ("E", 1)):  # a W slot's tail, an E slot's head
+        ends = [v for v in dict.fromkeys(yx[y + x][end] for y in "NS") if v in secondary]
+        out += ends + sorted((v for v in sides[end] if v in secondary and v not in ends),
+                             key=lambda v: pairing[v])
     return out
 
 

@@ -131,7 +131,7 @@ class _Script:
 
 
 _CUT_RE = re.compile(r"cut\s*\(")
-_EDGE_RE = re.compile(r"([A-Za-z0-9_]+)\s*->\s*([A-Za-z0-9_]+)")
+_EDGE_RE = re.compile(r"(#?[A-Za-z0-9_]+)\s*->\s*(#?[A-Za-z0-9_]+)")
 _SCAN_NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
@@ -318,33 +318,31 @@ def run_script(text: str) -> Construction:
 
 
 def script_of(construction: Construction) -> str:
-    """A script that rebuilds the construction (leaves first, cuts bottom-up)."""
+    """A script that rebuilds the construction (leaves first, cuts bottom-up),
+    from the cut-tree's postorder and a stack of the names not yet cut."""
     lines = [f"mode {construction.mode}"]
-    counter = {"leaf": 0, "cut": 0}
-
-    def emit(node: Construction) -> str:
-        if node.is_leaf:
-            counter["leaf"] += 1
-            name = f"L{counter['leaf']}"
-            obj = node.leaf_obj
-            if isinstance(obj, IdentityGraph):
-                lines.append(f"identity {name} {{ west: {obj.west}; east: {obj.east} }}")
-            else:
-                lines.append(
-                    f"basic {name} {{ west: {' '.join(obj.west)}; east: {' '.join(obj.east)}; "
-                    f"center: {obj.center}; NW: {obj.nw.tail}; SW: {obj.sw.tail}; "
-                    f"NE: {obj.ne.head}; SE: {obj.se.head} }}"
-                )
-            return name
-        west = emit(node.left)
-        east = emit(node.right)
-        counter["cut"] += 1
-        name = f"C{counter['cut']}"
-        lines.append(
-            f"let {name} = cut({west}, {node.cut_west.tail}->{node.cut_west.head}, "
-            f"{east}, {node.cut_east.tail}->{node.cut_east.head})"
-        )
-        return name
-
-    lines.append(f"emit {emit(construction)}")
+    names: list[str] = []
+    leaves = cuts = 0
+    for node in construction.postorder():
+        obj = node.leaf_obj
+        if obj is None:
+            east, west = names.pop(), names.pop()
+            cuts += 1
+            names.append(f"C{cuts}")
+            lines.append(
+                f"let {names[-1]} = cut({west}, {node.cut_west.tail}->{node.cut_west.head}, "
+                f"{east}, {node.cut_east.tail}->{node.cut_east.head})"
+            )
+            continue
+        leaves += 1
+        names.append(f"L{leaves}")
+        if isinstance(obj, IdentityGraph):
+            lines.append(f"identity {names[-1]} {{ west: {obj.west}; east: {obj.east} }}")
+        else:
+            lines.append(
+                f"basic {names[-1]} {{ west: {' '.join(obj.west)}; east: {' '.join(obj.east)}; "
+                f"center: {obj.center}; NW: {obj.nw.tail}; SW: {obj.sw.tail}; "
+                f"NE: {obj.ne.head}; SE: {obj.se.head} }}"
+            )
+    lines.append(f"emit {names.pop()}")
     return "\n".join(lines) + "\n"

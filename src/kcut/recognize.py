@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .compass import Compass
+from .compass import Compass, QFailure, q_failure
 from .construct import Construction, assemble
 from .errors import DomainError, GraphInvariantError
 from .graph import AWAY, TOWARD, Edge, OrientedGraph, SemiPath
@@ -21,19 +21,6 @@ from .graph import AWAY, TOWARD, Edge, OrientedGraph, SemiPath
 KGRAPH = "kgraph"
 QGRAPH_ONLY = "qgraph-only"
 NOT_QGRAPH = "not-qgraph"
-
-
-@dataclass(frozen=True)
-class QFailure:
-    """First failing Q-condition (1 connectivity, 2 asemicyclicity,
-    3 W-E-functionality with an inner vertex) and its witness."""
-
-    condition: int
-    witness: object
-
-    def describe(self) -> str:
-        reasons = {1: "not weakly connected", 2: "has a semicycle", 3: "not W-E-functional with an inner vertex"}
-        return f"condition ({self.condition}) fails: {reasons[self.condition]} ({self.witness})"
 
 
 @dataclass(frozen=True)
@@ -80,21 +67,6 @@ def is_proper(sp: SemiPath) -> bool:
     return any(s.forward for s in sp.steps) and any(not s.forward for s in sp.steps)
 
 
-def q_failure(graph: OrientedGraph, extended: bool = False) -> QFailure | None:
-    if not graph.is_weakly_connected:
-        return QFailure(1, graph.component_witness())
-    if not graph.is_asemicyclic:
-        return QFailure(2, graph.semicycle_witness())
-    if not graph.is_we_functional:
-        return QFailure(3, graph.nonfunctional_witness())
-    if extended:
-        if not graph.edges:
-            return QFailure(3, "no edge")
-    elif not graph.inner_vertices:
-        return QFailure(3, "no inner vertex")
-    return None
-
-
 def is_qgraph(graph: OrientedGraph, extended: bool = False) -> QVerdict:
     failure = q_failure(graph, extended=extended)
     return QVerdict(failure is None, failure)
@@ -126,11 +98,17 @@ def transversal_edges(graph: OrientedGraph, extended: bool = False) -> tuple[Edg
     return tuple(e for e in graph.edges if _is_transversal(graph, e))
 
 
-def _bifurcation_from(t_edges: tuple[Edge, ...]) -> Bifurcation | None:
+def _incidence(t_edges: tuple[Edge, ...]) -> dict[str, list[Edge]]:
+    """Every endpoint of the transversal edges with the ones at it."""
     incident: dict[str, list[Edge]] = {}
     for e in t_edges:
         incident.setdefault(e.tail, []).append(e)
         incident.setdefault(e.head, []).append(e)
+    return incident
+
+
+def _bifurcation_from(t_edges: tuple[Edge, ...]) -> Bifurcation | None:
+    incident = _incidence(t_edges)
     for v in sorted(incident):
         edges = sorted(incident[v])
         if len(edges) >= 3:
@@ -168,10 +146,7 @@ def _hangs_uniformly(graph: OrientedGraph, root: str, attach: Edge) -> bool:
 def _assemble_transversal(graph: OrientedGraph, t_edges: tuple[Edge, ...]) -> SemiPath:
     """Order the transversal edges into their semipath; of the two cognate
     readings, the one starting at the smaller vertex is returned."""
-    incident: dict[str, list[Edge]] = {}
-    for e in t_edges:
-        incident.setdefault(e.tail, []).append(e)
-        incident.setdefault(e.head, []).append(e)
+    incident = _incidence(t_edges)
     ends = sorted(v for v, es in incident.items() if len(es) == 1)
     if len(ends) != 2:
         raise GraphInvariantError(f"transversal edges do not form one path: {t_edges}")

@@ -6,7 +6,8 @@ exhaustive semiwalk extension, transversal edges by enumerating semipaths
 transversal-free decomposition by building every hanging tree,
 decency by pairwise forward reachability (with the indecent-path witness,
 the covering-path check of `compose_local` and the recovery of
-distinguished edges re-derived from every directed path), compass
+distinguished edges re-derived from every directed path), conditions
+(1)-(3) as the local check first wrote them, compass
 existence by enumerating all assignments, rewrite equivalence by
 breadth-first search over moves, equivalence up to rho and sigma by
 canonical renaming and leaf multisets, star graphs of basic leaves by the
@@ -547,6 +548,46 @@ def rho_equivalent_by_search(g: Construction, h: Construction, max_states: int =
                 seen.add(key)
                 queue.append(nxt)
     return False
+
+
+# -- conditions (1)-(3), as the local check once wrote them inline -----------
+
+
+def q_conditions_inline(graph: OrientedGraph, extended: bool = False) -> tuple[int, object, str] | None:
+    """The first failing condition of (1)-(3) as `is_local_compass_graph`
+    checked them before it called `q_failure`: each witness computed in
+    turn, then the inner vertex (an edge, once extended).  Returns the
+    condition, its witness and the text the check gave, or None."""
+    reasons = {1: "not weakly connected", 2: "has a semicycle", 3: "not W-E-functional with an inner vertex"}
+    failed = lambda condition, witness: (
+        condition, witness, f"condition ({condition}) fails: {reasons[condition]} ({witness})"
+    )
+    components = graph.component_witness()
+    if components is not None:
+        return failed(1, components)
+    semicycle = graph.semicycle_witness()
+    if semicycle is not None:
+        return failed(2, semicycle)
+    nonfunctional = graph.nonfunctional_witness()
+    if nonfunctional is not None:
+        return failed(3, nonfunctional)
+    if extended:
+        if not graph.edges:
+            return failed(3, "no edge")
+    elif not graph.inner_vertices:
+        return failed(3, "no inner vertex")
+    return None
+
+
+def oriented_graphs(max_vertices: int):
+    """Every oriented graph on 1 to `max_vertices` labelled vertices: each
+    pair of vertices joined by no edge or by one edge either way."""
+    for n in range(1, max_vertices + 1):
+        names = [f"v{i}" for i in range(n)]
+        pairs = list(itertools.combinations(names, 2))
+        for ways in itertools.product((None, False, True), repeat=len(pairs)):
+            edges = [(a, b) if forward else (b, a) for (a, b), forward in zip(pairs, ways) if forward is not None]
+            yield OrientedGraph.of(names, edges)
 
 
 # -- labeled oriented trees, for enumeration cross-checks --------------------

@@ -11,6 +11,7 @@ from kcut import (
     indecent_path_witness,
     is_decent,
     is_local_compass_graph,
+    is_qgraph,
     is_y_decent,
     separates_n_from_s,
 )
@@ -105,6 +106,24 @@ def test_local_check_reports_first_failure():
     assert no_inner.condition == 3
     # the identity shape is admitted once extended
     assert is_local_compass_graph(g("a>b"), anything, extended=True).ok
+
+
+def test_conditions_1_to_3_have_one_definition():
+    """The local check and recognition report conditions (1)-(3) as the
+    local check's own inline copy did, on every small oriented graph."""
+    count = 0
+    for graph in oracles.oriented_graphs(4):
+        for extended in (False, True):
+            expected = oracles.q_conditions_inline(graph, extended)
+            local = is_local_compass_graph(graph, Compass.of({}), extended=extended)
+            failure = is_qgraph(graph, extended=extended).failure
+            if expected is None:
+                assert failure is None and local.condition not in (1, 2, 3)
+            else:
+                assert (local.condition, local.witness, local.describe()) == expected
+                assert (failure.condition, failure.witness, failure.describe()) == expected
+        count += 1
+    assert count == 1 + 3 + 27 + 729
 
 
 def test_local_check_full_pass_and_decency_failure():

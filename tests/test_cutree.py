@@ -13,11 +13,14 @@ from __future__ import annotations
 import gc
 import tracemalloc
 
+import pytest
+
 from kcut import (
     Edge,
     IdentityGraph,
     KcutError,
     OrientedGraph,
+    RewriteError,
     apply_rho_move,
     applicable_rho_moves,
     compose,
@@ -187,6 +190,17 @@ def test_walks_run_below_the_default_recursion_limit():
     assert eliminate_identities(deep).root_graph == deep.root_graph.rename({"y1499": "z"})
     assert sigma_canonical(deep).root_graph == deep.root_graph
     assert same_compass_graph(deep, deep)
+
+
+def test_scripts_and_rho_moves_run_below_the_default_recursion_limit():
+    deep = _identity_padded(1500)
+    assert run_script(script_of(deep)) == deep
+    with pytest.raises(RewriteError, match="needs the outer cut"):
+        apply_rho_move(deep, "L" * 1498, "assoc", "L2R")
+    comb = run_script(_comb_script(1500))
+    moved = apply_rho_move(comb, "L" * 1497, "assoc", "L2R")
+    assert moved != comb
+    assert moved.root_graph == comb.root_graph and moved.yx_items == comb.yx_items
 
 
 def test_decompose_at_walks_a_deep_comb():

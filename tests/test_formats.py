@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import pytest
 
-from kcut import KcutError, ParseError
+from kcut import KcutError, ParseError, construction_from_compass, sigma_canonical, synthesize_compass
+from kcut.compass import LocalCompassGraph
 from kcut.formats import parse_graph, run_script, script_of, serialize_graph
-from kcut.generate import random_construction
+from kcut.generate import enumerate_oriented_trees, random_construction
+from kcut.recognize import KGRAPH, is_kgraph
 
 from helpers import F1, F1_COMPASS, F2, e
 
@@ -188,3 +190,20 @@ def test_a_deep_cut_nest_parses_below_the_recursion_limit():
     with pytest.raises(ParseError) as info:
         run_script("\n".join(head + [f"emit {expr[:-1]}"]) + "\n")
     assert str(info.value) == f"line {len(head) + 1}, column {len(expr)}: expected ')'"
+
+
+def test_scripts_round_trip_reserved_secondary_names():
+    """The bridge and sigma name secondary vertices `#s<k>`; the script of
+    every such construction parses back to it."""
+    count = 0
+    for size in range(2, 9):
+        for graph in enumerate_oriented_trees(size):
+            if is_kgraph(graph).kind != KGRAPH:
+                continue
+            extended = not graph.inner_vertices
+            lcg = LocalCompassGraph(graph, synthesize_compass(graph, extended=extended))
+            built = construction_from_compass(lcg, extended=extended)
+            for c in (built, sigma_canonical(built)):
+                assert run_script(script_of(c)) == c
+                count += 1
+    assert count == 622
