@@ -21,11 +21,11 @@ _EXPORTS = {
     "graph": "SLOTS Edge OrientedGraph SemiPath Step VertexClass",
     "construct": (
         "BasicKGraph Construction IdentityGraph apply_rho_move applicable_rho_moves compose "
-        "cut_graph decompose_at eliminate_identities leaf make_basic rename_construction "
+        "decompose_at eliminate_identities leaf make_basic rename_construction "
         "rho_equivalent same_compass_graph sigma_canonical"
     ),
     "compass": (
-        "Compass LocalCompassGraph compose_local indecent_path_witness is_decent "
+        "Compass LocalCompassGraph compose_local cut_graph indecent_path_witness is_decent "
         "is_local_compass_graph is_y_decent separates_n_from_s"
     ),
     "bridge": "construction_from_compass distinguished_from_compass is_yx_edge is_yx_path lambda_of",

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .construct import cut_graph
 from .errors import CompositionError, DomainError, ValidationError
 from .graph import SLOTS, Edge, OrientedGraph, SemiPath
 
@@ -57,9 +56,6 @@ class Compass:
     @cached_property
     def vertices(self) -> tuple[str, ...]:
         return tuple(sorted({v for v, _, _ in self.entries}))
-
-    def slots_at(self, v: str) -> dict[str, Edge]:
-        return {slot: e for u, slot, e in self.entries if u == v}
 
     def substituted(self, replacements: Mapping[Edge, Edge]) -> "Compass":
         return Compass.of(
@@ -320,6 +316,33 @@ def is_local_compass_graph(graph: OrientedGraph, compass: Compass, extended: boo
     if indecent is not None:
         return LocalCheck(False, 5, indecent)
     return LocalCheck(True)
+
+
+def cut_graph(d_west: OrientedGraph, e_west: Edge, d_east: OrientedGraph, e_east: Edge) -> OrientedGraph:
+    """Splice two disjoint graphs along a cut.
+
+    `e_west` = (a, b) must be a functional E-edge of `d_west` and
+    `e_east` = (c, d) a functional W-edge of `d_east`; the result joins the
+    graphs by the single new edge (a, d), with b and c gone.
+    """
+    overlap = set(d_west.vertices) & set(d_east.vertices)
+    if overlap:
+        raise DomainError(f"operand graphs share vertices {sorted(overlap)}")
+    if not (d_west.contains_edge(e_west) and d_west.is_e_edge(e_west)):
+        raise DomainError(f"{e_west} is not an E-edge of the west operand")
+    if not d_west.is_functional_edge(e_west, "E"):
+        raise DomainError(f"E-edge {e_west} is not functional")
+    if not (d_east.contains_edge(e_east) and d_east.is_w_edge(e_east)):
+        raise DomainError(f"{e_east} is not a W-edge of the east operand")
+    if not d_east.is_functional_edge(e_east, "W"):
+        raise DomainError(f"W-edge {e_east} is not functional")
+    a, b = e_west
+    c, d = e_east
+    vertices = [v for v in d_west.vertices if v != b] + [v for v in d_east.vertices if v != c]
+    edges = [e for e in d_west.edges if e != e_west]
+    edges += [e for e in d_east.edges if e != e_east]
+    edges.append(Edge(a, d))
+    return OrientedGraph.of(vertices, edges)
 
 
 def compose_local(

@@ -155,33 +155,6 @@ def make_basic(
     return basic
 
 
-def cut_graph(d_west: OrientedGraph, e_west: Edge, d_east: OrientedGraph, e_east: Edge) -> OrientedGraph:
-    """Splice two disjoint graphs along a cut.
-
-    `e_west` = (a, b) must be a functional E-edge of `d_west` and
-    `e_east` = (c, d) a functional W-edge of `d_east`; the result joins the
-    graphs by the single new edge (a, d), with b and c gone.
-    """
-    overlap = set(d_west.vertices) & set(d_east.vertices)
-    if overlap:
-        raise DomainError(f"operand graphs share vertices {sorted(overlap)}")
-    if not (d_west.contains_edge(e_west) and d_west.is_e_edge(e_west)):
-        raise DomainError(f"{e_west} is not an E-edge of the west operand")
-    if not d_west.is_functional_edge(e_west, "E"):
-        raise DomainError(f"E-edge {e_west} is not functional")
-    if not (d_east.contains_edge(e_east) and d_east.is_w_edge(e_east)):
-        raise DomainError(f"{e_east} is not a W-edge of the east operand")
-    if not d_east.is_functional_edge(e_east, "W"):
-        raise DomainError(f"W-edge {e_east} is not functional")
-    a, b = e_west
-    c, d = e_east
-    vertices = [v for v in d_west.vertices if v != b] + [v for v in d_east.vertices if v != c]
-    edges = [e for e in d_west.edges if e != e_west]
-    edges += [e for e in d_east.edges if e != e_east]
-    edges.append(Edge(a, d))
-    return OrientedGraph.of(vertices, edges)
-
-
 @dataclass(frozen=True, eq=False, repr=False)
 class Construction:
     """A node of a cut-tree; leaves hold a basic or identity graph.
@@ -295,16 +268,6 @@ class Construction:
             [v for v, k in vertices.items() if k > 0], [e for e, k in edges.items() if k > 0]
         )
 
-    def node_at(self, site: str) -> "Construction":
-        """The subtree at a node address: a string of 'L'/'R' from the root."""
-        node = self
-        for i, step in enumerate(site):
-            if node.is_leaf or step not in "LR":
-                raise DomainError(f"no node at address {site!r} (stuck after {site[:i]!r})")
-            west, _, east, _ = node.operands
-            node = west if step == "L" else east
-        return node
-
     def postorder(self) -> Iterator["Construction"]:
         """Every node of the cut-tree, operands (west first) before their
         cut, from an explicit stack."""
@@ -401,6 +364,8 @@ def leaf(obj: Leaf, mode: str = "K") -> Construction:
     _check_mode(mode)
     if isinstance(obj, BasicKGraph) and mode == "K":
         _check_branching_sides(obj)
+    elif isinstance(obj, IdentityGraph):
+        obj.graph  # validated on first read: two distinct tokens
     n_w, n_e = (len(obj.west), len(obj.east)) if isinstance(obj, BasicKGraph) else (1, 1)
     distinguished = obj.distinguished
     return Construction(mode, tuple((s, distinguished[s]) for s in SLOTS), n_w, n_e, leaf_obj=obj)
@@ -531,7 +496,25 @@ _MOVE_SHAPES = {
 }
 
 
-def _rewrite_node(node: Construction, move: str, direction: str) -> Construction:
+def _lift(
+    path: list[tuple[Construction, bool]], h_w: Construction, e_w: Edge, h_e: Construction, e_e: Edge
+) -> tuple[Construction, Edge, Construction, Edge]:
+    """Lift the cut (h_w [e_w|e_e] h_e) up `path`, the nodes above it nearest
+    last, each with whether the cut lies in its west operand: every node's
+    own cut moves into the piece holding its cut edge (an associativity or a
+    commutation), and the lifted cut's operands come back."""
+    for node, went_west in reversed(path):
+        west, c_w, east, c_e = node.operands
+        if _west_holds(h_w, h_e, c_w if went_west else c_e):
+            h_w = compose(h_w, c_w, east, c_e) if went_west else compose(west, c_w, h_w, c_e)
+        else:
+            h_e = compose(h_e, c_w, east, c_e) if went_west else compose(west, c_w, h_e, c_e)
+    return h_w, e_w, h_e, e_e
+
+
+def _rewrite_node(node: Construction, move: str, direction: str) -> tuple[Construction, bool]:
+    """The shape check of a move at `node`: the operand whose cut the move
+    lifts to `node`, and whether it is the west one.  Nothing is built."""
     if node.is_leaf:
         raise RewriteError("no cut at this site")
     key = (move, direction if move == "assoc" else "L2R")
@@ -543,24 +526,19 @@ def _rewrite_node(node: Construction, move: str, direction: str) -> Construction
     inner, cut = (west, g_w) if outer == "west" else (east, g_e)
     if inner.is_leaf:
         raise RewriteError(f"{name} needs a cut as the {outer} operand")
-    i_w, i_cw, i_e, i_ce = inner.operands
+    i_w, _, i_e, _ = inner.operands
     if cut == inner.cut_edge or _west_holds(i_w, i_e, cut) != (child == "west"):
         raise RewriteError(f"{name} needs the outer cut {cut} inside the {outer} operand's {child} child")
-    if key == ("assoc", "L2R"):
-        return compose(i_w, i_cw, compose(i_e, g_w, east, g_e), i_ce)
-    if key == ("assoc", "R2L"):
-        return compose(compose(west, g_w, i_w, g_e), i_cw, i_e, i_ce)
-    if move == "commuteE":
-        return compose(compose(i_w, g_w, east, g_e), i_cw, i_e, i_ce)
-    return compose(i_w, i_cw, compose(west, g_w, i_e, g_e), i_ce)
+    return inner, outer == "west"
 
 
 def apply_rho_move(g: Construction, site: str, move: str, direction: str = "L2R") -> Construction:
     """Apply one associativity/commutation move at a node address.
 
     The root graph and all four distinguished edges are unchanged; only the
-    cut-tree is rearranged.  The two commute moves are involutions, so their
-    direction argument is accepted but irrelevant.
+    cut-tree is rearranged: the operand's cut is lifted to the site.  The two
+    commute moves are involutions, so their direction argument is accepted
+    but irrelevant.
     """
     if move not in RHO_MOVES:
         raise RewriteError(f"move must be one of {RHO_MOVES}, got {move!r}")
@@ -576,7 +554,8 @@ def apply_rho_move(g: Construction, site: str, move: str, direction: str = "L2R"
             raise RewriteError(f"bad address character {step!r} in {site!r}")
         path.append((node, step))
         node = node.left if step == "L" else node.right
-    node = _rewrite_node(node, move, direction)
+    inner, is_west = _rewrite_node(node, move, direction)
+    node = compose(*_lift([(node, is_west)], *inner.operands))
     for parent, step in reversed(path):  # ... and back up, recomposing
         west, e_west, east, e_east = parent.operands
         node = compose(node, e_west, east, e_east) if step == "L" else compose(west, e_west, node, e_east)
@@ -584,16 +563,20 @@ def apply_rho_move(g: Construction, site: str, move: str, direction: str = "L2R"
 
 
 def applicable_rho_moves(g: Construction) -> list[tuple[str, str, str]]:
-    """All (site, move, direction) triples that `apply_rho_move` accepts."""
+    """All (site, move, direction) triples that `apply_rho_move` accepts,
+    sites root first, decided by the shape check alone in one walk."""
     out = []
-    for site in g.internal_sites():
-        node = g.node_at(site)
-        for move, direction in _MOVE_SHAPES:
-            try:
-                _rewrite_node(node, move, direction)
-            except RewriteError:
-                continue
-            out.append((site, move, direction))
+    stack = [(g, "")]
+    while stack:
+        node, site = stack.pop()
+        if node.leaf_obj is None:
+            for move, direction in _MOVE_SHAPES:
+                try:
+                    _rewrite_node(node, move, direction)
+                except RewriteError:
+                    continue
+                out.append((site, move, direction))
+            stack += ((node.right, site + "R"), (node.left, site + "L"))
     return out
 
 
@@ -763,20 +746,11 @@ def decompose_at(g: Construction, e: Edge) -> tuple[Construction, Edge, Construc
         raise DomainError("only mode-K constructions are split here")
     if not g.root_graph.contains_edge(e) or not g.root_graph.is_inner_edge(e):
         raise DomainError(f"{e} is not an inner edge of the root graph")
-    # down to the cut that created e (no star has an inner edge) ...
+    # down to the cut that created e (no star has an inner edge), then lift it
     path = []
     node = g
     while node.cut_edge != e:
         west, _, east, _ = node.operands
         path.append((node, _west_holds(west, east, e)))
         node = west if path[-1][1] else east
-    h_w, e_w, h_e, e_e = node.operands
-    # ... and back up: a node whose west operand became (h_w [e] h_e) moves its
-    # cut into the piece holding its cut edge (assoc. or commutation), and dually
-    for node, went_west in reversed(path):
-        west, c_w, east, c_e = node.operands
-        if _west_holds(h_w, h_e, c_w if went_west else c_e):
-            h_w = compose(h_w, c_w, east, c_e) if went_west else compose(west, c_w, h_w, c_e)
-        else:
-            h_e = compose(h_e, c_w, east, c_e) if went_west else compose(west, c_w, h_e, c_e)
-    return h_w, e_w, h_e, e_e
+    return _lift(path, *node.operands)

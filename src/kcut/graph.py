@@ -110,9 +110,6 @@ class SemiPath:
         steps = tuple(Step(s.edge, not s.forward) for s in reversed(self.steps))
         return SemiPath(tuple(reversed(self.vertices)), steps)
 
-    def covers(self, edge: Edge) -> bool:
-        return any(step.edge == edge for step in self.steps)
-
     def __str__(self) -> str:
         if not self.steps:
             return self.vertices[0]

@@ -9,9 +9,10 @@ the covering-path check of `compose_local` and the recovery of
 distinguished edges re-derived from every directed path), conditions
 (1)-(3) as the local check first wrote them, compass
 existence by enumerating all assignments, rewrite equivalence by
-breadth-first search over moves, equivalence up to rho and sigma by
-canonical renaming and leaf multisets, star graphs of basic leaves by the
-validating graph constructor, cuts by copying and re-validating whole
+breadth-first search over moves, rewrite moves by hand-written cuts (and
+their applicability by building every move), equivalence up to rho and
+sigma by canonical renaming and leaf multisets, star graphs of basic leaves
+by the validating graph constructor, cuts by copying and re-validating whole
 root graphs, cut-tree walks by recursion, constructions from a compass (and
 mode-Q constructions) by splitting at the smallest inner edge and
 recursing, and oriented-tree counts from labeled trees.  None of it shares algorithms with the production path it checks.
@@ -44,8 +45,8 @@ from kcut import (
     sigma_canonical,
 )
 from kcut import construct
-from kcut.compass import Compass, LocalCompassGraph
-from kcut.construct import compose, cut_graph, fresh_secondary_names, leaf, make_basic
+from kcut.compass import Compass, LocalCompassGraph, cut_graph
+from kcut.construct import compose, fresh_secondary_names, leaf, make_basic
 from kcut.recognize import q_failure
 
 
@@ -548,6 +549,62 @@ def rho_equivalent_by_search(g: Construction, h: Construction, max_states: int =
                 seen.add(key)
                 queue.append(nxt)
     return False
+
+
+def rewrite_node_by_hand(node: Construction, move: str, direction: str) -> Construction:
+    """A move at `node` as first written: the same shape checks and texts,
+    with membership read off the root graph, then one hand-written pair of
+    `compose` calls per move."""
+    if node.is_leaf:
+        raise RewriteError("no cut at this site")
+    shapes = {("assoc", "L2R"): ("west", "east"), ("assoc", "R2L"): ("east", "west"),
+              ("commuteE", "L2R"): ("west", "west"), ("commuteW", "L2R"): ("east", "east")}
+    key = (move, direction if move == "assoc" else "L2R")
+    if key not in shapes:
+        raise RewriteError(f"unknown move {move!r} with direction {direction!r}")
+    outer, child = shapes[key]
+    name = f"{move} {direction}" if move == "assoc" else move
+    west, g_w, east, g_e = node.operands
+    inner, cut = (west, g_w) if outer == "west" else (east, g_e)
+    if inner.is_leaf:
+        raise RewriteError(f"{name} needs a cut as the {outer} operand")
+    i_w, i_cw, i_e, i_ce = inner.operands
+    if cut == inner.cut_edge or i_w.root_graph.contains_edge(cut) != (child == "west"):
+        raise RewriteError(f"{name} needs the outer cut {cut} inside the {outer} operand's {child} child")
+    if key == ("assoc", "L2R"):
+        return compose(i_w, i_cw, compose(i_e, g_w, east, g_e), i_ce)
+    if key == ("assoc", "R2L"):
+        return compose(compose(west, g_w, i_w, g_e), i_cw, i_e, i_ce)
+    if move == "commuteE":
+        return compose(compose(i_w, g_w, east, g_e), i_cw, i_e, i_ce)
+    return compose(i_w, i_cw, compose(west, g_w, i_e, g_e), i_ce)
+
+
+def rho_move_by_hand(g: Construction, site: str, move: str, direction: str = "L2R") -> Construction:
+    """`apply_rho_move` at an existing site, by recursion down to it."""
+    if not site:
+        return rewrite_node_by_hand(g, move, direction)
+    west, e_west, east, e_east = g.operands
+    if site[0] == "L":
+        return compose(rho_move_by_hand(west, site[1:], move, direction), e_west, east, e_east)
+    return compose(west, e_west, rho_move_by_hand(east, site[1:], move, direction), e_east)
+
+
+def applicable_rho_moves_by_building(g: Construction) -> list[tuple[str, str, str]]:
+    """`applicable_rho_moves` as first written: every move built in full at
+    every internal site, kept unless the build raises a `RewriteError`."""
+    out = []
+    for site in internal_sites_by_recursion(g):
+        node = g
+        for step in site:
+            node = node.left if step == "L" else node.right
+        for move, direction in (("assoc", "L2R"), ("assoc", "R2L"), ("commuteE", "L2R"), ("commuteW", "L2R")):
+            try:
+                rewrite_node_by_hand(node, move, direction)
+            except RewriteError:
+                continue
+            out.append((site, move, direction))
+    return out
 
 
 # -- conditions (1)-(3), as the local check once wrote them inline -----------

@@ -85,6 +85,12 @@ def test_check_reports_parse_errors(tmp_path, capsys):
     assert "irreflexiv" in err
 
 
+def test_a_bad_identity_leaf_is_reported_on_its_line(tmp_path, capsys):
+    script = write(tmp_path, "loop.kc", "mode K\nidentity I { west: a; east: a }\nemit I\n")
+    code, out, err = run(capsys, "compose", script)
+    assert (code, out, err) == (1, "", "kcut: line 2, column 1: irreflexivity violated by a>a\n")
+
+
 def test_decompose_writes_dot(tmp_path, capsys):
     dot_path = tmp_path / "out.dot"
     code, out, _ = run(

@@ -4,7 +4,8 @@
 summaries; the root graph is built once, on first read, through the
 trusted `OrientedGraph.unchecked`.  These tests compare both with the
 copying cut they replace (`oracles.compose_by_copying`) and with
-`OrientedGraph.of`, pin what `==` means on constructions, and run walks,
+`OrientedGraph.of`, pin what `==` means on constructions, check the
+rewrite moves against the hand-written cuts they replace, and run walks,
 parses and memory on cut-trees deeper than the default recursion limit.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import gc
 import tracemalloc
+from unittest import mock
 
 import pytest
 
@@ -36,6 +38,7 @@ from kcut import (
     sigma_canonical,
     synthesize_compass,
 )
+from kcut import construct
 from kcut.bridge import _compass_entries
 from kcut.compass import LocalCompassGraph
 from kcut.formats import run_script, script_of
@@ -201,6 +204,44 @@ def test_scripts_and_rho_moves_run_below_the_default_recursion_limit():
     moved = apply_rho_move(comb, "L" * 1497, "assoc", "L2R")
     assert moved != comb
     assert moved.root_graph == comb.root_graph and moved.yx_items == comb.yx_items
+
+
+def _move_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except KcutError as err:
+        return type(err), str(err)
+
+
+def test_rho_moves_make_the_hand_written_cuts():
+    """Every move, legal or not, at every site: the shared lift gives what
+    the four hand-written forms gave, and the shape check alone lists
+    exactly the moves that building each one accepted."""
+    constructions = [random_construction(seed, 1 + seed % 7, mode) for mode in "KQ" for seed in range(1500)]
+    applied = 0
+    for built in constructions + list(_bridge_outputs(7)):
+        assert applicable_rho_moves(built) == oracles.applicable_rho_moves_by_building(built)
+        for site in built.internal_sites():
+            for move, direction in (("assoc", "L2R"), ("assoc", "R2L"), ("commuteE", "L2R"), ("commuteW", "R2L")):
+                got = _move_outcome(apply_rho_move, built, site, move, direction)
+                assert got == _move_outcome(oracles.rho_move_by_hand, built, site, move, direction)
+                applied += not isinstance(got, tuple)
+    assert applied > 6000
+
+
+def test_applicable_rho_moves_builds_nothing():
+    comb = run_script(_comb_script(800))
+    with mock.patch.object(construct, "compose", side_effect=AssertionError("a move was built")):
+        moves = applicable_rho_moves(comb)
+    assert moves == [("L" * i, "assoc", "L2R") for i in range(798)]
+
+
+def test_rho_moves_on_a_5000_star_comb():
+    comb = run_script(_comb_script(5000))
+    moves = applicable_rho_moves(comb)
+    assert len(moves) == 4998 and moves[-1] == ("L" * 4997, "assoc", "L2R")
+    moved = apply_rho_move(comb, *moves[-1])
+    assert moved != comb and same_compass_graph(moved, comb)
 
 
 def test_decompose_at_walks_a_deep_comb():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from kcut import (
+    SLOTS,
     DomainError,
     OrientedGraph,
     SemiPath,
@@ -135,10 +136,10 @@ def test_synthesized_compass_on_f3():
     assert compass.edge("p", "SE") == e("p>q")
     assert compass.edge("q", "NW") == e("p>q")
     # frozen from the validity check: the deterministic fill
-    assert compass.slots_at("p") == {
+    assert {s: compass.edge("p", s) for s in SLOTS} == {
         "NW": e("w>p"), "SW": e("w>p"), "NE": e("p>r"), "SE": e("p>q"),
     }
-    assert compass.slots_at("q") == {
+    assert {s: compass.edge("q", s) for s in SLOTS} == {
         "NW": e("p>q"), "SW": e("s>q"), "NE": e("q>e"), "SE": e("q>e"),
     }
     assert is_local_compass_graph(F3, compass).ok
